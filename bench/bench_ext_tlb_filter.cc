@@ -8,6 +8,8 @@
  * energy, and average translation latency.
  */
 
+#include <memory>
+
 #include "cache/tlb.hh"
 #include "core/tlb_filter.hh"
 #include "harness.hh"
@@ -54,31 +56,32 @@ main()
             params.entries = 64;
             params.associativity = 0;
 
+            auto batch = std::make_unique<InstructionBatch>();
+
             // Baseline: bare TLB.
             Tlb base(params);
             auto w1 = makeSpecWorkload(app);
-            Instruction inst;
             Cycles base_cycles = 0;
             std::uint64_t accesses = 0;
-            for (std::uint64_t i = 0; i < opts.instructions; ++i) {
-                w1->next(inst);
-                if (!inst.isMem())
-                    continue;
-                base_cycles += base.translate(inst.mem_addr);
-                ++accesses;
-            }
+            forEachRecord(*w1, opts.instructions, *batch,
+                          [&](const Instruction &inst) {
+                              if (!inst.isMem())
+                                  return;
+                              base_cycles += base.translate(inst.mem_addr);
+                              ++accesses;
+                          });
 
             // Filtered: TMNM at page granularity.
             Tlb filtered(params);
             TlbFilterUnit filter(TmnmSpec{8, 2, 3}, filtered);
             auto w2 = makeSpecWorkload(app);
             Cycles filt_cycles = 0;
-            for (std::uint64_t i = 0; i < opts.instructions; ++i) {
-                w2->next(inst);
-                if (!inst.isMem())
-                    continue;
-                filt_cycles += filter.translate(inst.mem_addr);
-            }
+            forEachRecord(*w2, opts.instructions, *batch,
+                          [&](const Instruction &inst) {
+                              if (inst.isMem())
+                                  filt_cycles +=
+                                      filter.translate(inst.mem_addr);
+                          });
 
             double base_energy =
                 tlb_probe.read_energy_pj * static_cast<double>(accesses);

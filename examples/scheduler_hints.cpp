@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "core/presets.hh"
 #include "obs/manifest.hh"
@@ -43,15 +44,13 @@ main(int argc, char **argv)
     std::uint64_t loads = 0;
     std::uint64_t useful_hints = 0; // predicted >= L3 and correct-or-under
 
-    Instruction inst;
-    for (std::uint64_t i = 0; i < instructions; ++i) {
-        workload->next(inst);
+    auto grade = [&](const Instruction &inst) {
         if (inst.cls != InstClass::Load) {
             if (inst.isMem())
                 hierarchy.access(AccessType::Store, inst.mem_addr,
                                  mnm.computeBypass(AccessType::Store,
                                                    inst.mem_addr));
-            continue;
+            return;
         }
         BypassMask mask =
             mnm.computeBypass(AccessType::Load, inst.mem_addr);
@@ -78,7 +77,9 @@ main(int argc, char **argv)
               [std::min(actual, max_level - 1)]++;
         if (predicted >= 2 && (actual > predicted || actual == 1))
             ++useful_hints;
-    }
+    };
+    auto batch = std::make_unique<InstructionBatch>();
+    forEachRecord(*workload, instructions, *batch, grade);
 
     Table table("Scheduler hint quality for " + app +
                 " (rows: predicted min supply; cols: actual)");

@@ -3,11 +3,21 @@
 #include <algorithm>
 #include <deque>
 
+#include "obs/phase_profiler.hh"
 #include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace mnm
 {
+
+namespace
+{
+
+/** "No such cycle": an unissued producer's completion time, and the
+ *  idle skip's "nothing time-gated is pending". */
+constexpr Cycles never = ~static_cast<Cycles>(0);
+
+} // anonymous namespace
 
 CycleOooCore::CycleOooCore(const CpuParams &params,
                            CacheHierarchy &hierarchy, MnmUnit *mnm)
@@ -41,22 +51,25 @@ CycleOooCore::memAccess(AccessType type, Addr addr, CpuRunStats &stats)
     return latency;
 }
 
-bool
-CycleOooCore::depsReady(const InFlight &entry, Cycles now) const
+Cycles
+CycleOooCore::readyAt(const InFlight &entry) const
 {
-    auto producer_done = [&](std::uint16_t dist) {
+    auto producer_done = [&](std::uint16_t dist) -> Cycles {
         if (dist == 0 || dist > entry.seq)
-            return true;
+            return 0;
         std::uint64_t producer = entry.seq - dist;
-        return complete_ring_[producer % dep_horizon] <= now;
+        return complete_ring_[producer % dep_horizon];
     };
-    return producer_done(entry.inst.dep1) &&
-           producer_done(entry.inst.dep2);
+    return std::max(producer_done(entry.inst.dep1),
+                    producer_done(entry.inst.dep2));
 }
 
 CpuRunStats
 CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
 {
+    PhaseScope prof_run(Phase::Run);
+    if (!batch_)
+        batch_ = std::make_unique<InstructionBatch>();
     CpuRunStats stats;
     stats.instructions = count;
 
@@ -78,6 +91,11 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
     Addr cur_fetch_line = invalid_addr;
     std::uint64_t fetched = 0;
     std::uint64_t committed = 0;
+    // Fetch reads records from batch_; a refill happens only once the
+    // buffer is drained, so every record pulled this run is fetched by
+    // its end and nothing carries over to the next run().
+    std::size_t batch_pos = 0;
+    batch_->size = 0;
 
     // The fetch-buffer cap keeps dispatch from starving or ballooning.
     const std::size_t fetch_buffer_cap = 4ull * params_.fetch_width +
@@ -85,6 +103,10 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
 
     while (committed < count) {
         pollCellDeadline();
+        // Set by every state change below; a cycle that leaves it clear
+        // was a no-op, and the skip at the bottom of the loop applies.
+        bool progress = false;
+
         // --- commit -------------------------------------------------
         for (std::uint32_t n = 0; n < params_.commit_width &&
                                   !window.empty();
@@ -98,6 +120,7 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
             }
             ++committed;
             window.pop_front();
+            progress = true;
         }
 
         // --- issue (oldest ready first) ------------------------------
@@ -109,13 +132,18 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                                        }),
                         mshr_free.end());
         std::uint32_t issued_this_cycle = 0;
+        // Earliest cycle at which a waiting operand arrives.
+        Cycles operand_wake = never;
         for (InFlight &entry : window) {
             if (issued_this_cycle >= params_.issue_width)
                 break;
             if (entry.issued)
                 continue;
-            if (!depsReady(entry, now))
+            const Cycles ready = readyAt(entry);
+            if (ready > now) {
+                operand_wake = std::min(operand_wake, ready);
                 continue;
+            }
             if (entry.is_load || entry.is_store) {
                 if (mshr_free.size() >= params_.mshrs)
                     continue; // no MSHR: stall this op
@@ -131,6 +159,7 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                 entry.complete = now + entry.inst.exec_latency;
             }
             entry.issued = true;
+            progress = true;
             // Publish the completion time for dependents. The window
             // (<=128) is far smaller than the ring (1024), so in-flight
             // sequence numbers never collide.
@@ -161,6 +190,7 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
             }
             window.push_back(cand);
             fetch_buffer.pop_front();
+            progress = true;
         }
 
         // --- fetch ------------------------------------------------------
@@ -171,6 +201,7 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                 redirect_seq = ~std::uint64_t{0};
                 redirect_done = 0;
                 cur_fetch_line = invalid_addr;
+                progress = true;
             } else {
                 fetch_blocked = true;
             }
@@ -181,13 +212,19 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                     fetch_buffer.size() >= fetch_buffer_cap) {
                     break;
                 }
+                if (batch_pos == batch_->size) {
+                    PhaseScope prof(Phase::BatchGen);
+                    workload.nextBatch(
+                        *batch_, std::min(count - fetched, refill_window));
+                    batch_pos = 0;
+                }
                 InFlight entry;
-                workload.next(entry.inst);
+                entry.inst = batch_->records[batch_pos++];
                 entry.seq = fetched++;
                 entry.fetched = now;
+                progress = true;
                 // Not ready until issued.
-                complete_ring_[entry.seq % dep_horizon] =
-                    ~static_cast<Cycles>(0);
+                complete_ring_[entry.seq % dep_horizon] = never;
                 entry.is_load = entry.inst.cls == InstClass::Load;
                 entry.is_store = entry.inst.cls == InstClass::Store;
                 if (entry.is_load)
@@ -224,7 +261,42 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
             }
         }
 
-        ++now;
+        if (progress) {
+            ++now;
+        } else {
+            // Idle-cycle skip. Nothing changed this cycle, so the next
+            // change needs a time-gated condition to flip, and each one
+            // flips at a cycle known now:
+            //  - commit: the head's completion (once it has issued);
+            //  - issue: an operand's arrival (operand_wake) or a freed
+            //    MSHR (every mshr_free time);
+            //  - dispatch: the fetch-buffer head clearing decode;
+            //  - fetch: the I-miss stall ending, or a known redirect
+            //    resolving.
+            // Every other gate -- window, LSQ and fetch-buffer space,
+            // an unissued producer, an unknown redirect time, the fetch
+            // budget -- moves only in a cycle that makes progress. So
+            // every cycle before the earliest of these candidates would
+            // repeat this one's no-op, and jumping to it leaves the
+            // simulated machine, its stats and its final cycle count
+            // untouched. Candidates at or before now are already
+            // satisfied (something else blocks), so they are skipped.
+            Cycles next = operand_wake;
+            auto candidate = [&](Cycles c) {
+                if (c > now && c < next)
+                    next = c;
+            };
+            if (!window.empty() && window.front().issued)
+                candidate(window.front().complete);
+            for (Cycles c : mshr_free)
+                candidate(c);
+            if (!fetch_buffer.empty())
+                candidate(fetch_buffer.front().fetched + decode_depth);
+            candidate(fetch_stalled_until);
+            if (redirect_done != 0)
+                candidate(redirect_done);
+            now = next == never ? now + 1 : next;
+        }
         // Deadlock guard: an empty machine with nothing left to fetch
         // cannot make progress (would indicate a model bug).
         if (window.empty() && fetch_buffer.empty() &&

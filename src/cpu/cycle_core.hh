@@ -20,16 +20,25 @@
  *  - commit: up to commit_width completed instructions per cycle, in
  *    order.
  *
+ * A cycle in which no stage changes state is followed by a jump to the
+ * earliest cycle at which a time-gated condition (a completion, an
+ * operand arrival, a freed MSHR, decode, an I-miss stall, a redirect)
+ * can flip; the cycles skipped are provable no-ops (see run() and
+ * DESIGN.md decision 25), so the results are those of stepping them.
+ *
  * The two models are cross-validated in tests/cycle_core_test.cc: they
  * must agree on throughput bounds, and rank machine configurations the
- * same way. The benches use OooCore (it is ~5x faster); this model is
- * the reference.
+ * same way. The benches use OooCore, which costs ~150 ns of host time
+ * per simulated instruction against this model's ~500 ns (3.3x;
+ * perfbench timing_cores, traced, on a 4-vCPU x86-64 VM); this model
+ * is the reference.
  */
 
 #ifndef MNM_CPU_CYCLE_CORE_HH
 #define MNM_CPU_CYCLE_CORE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cpu/ooo_core.hh"
@@ -64,12 +73,17 @@ class CycleOooCore
     };
 
     Cycles memAccess(AccessType type, Addr addr, CpuRunStats &stats);
-    bool depsReady(const InFlight &entry, Cycles now) const;
+    /** The cycle both producers of @p entry have completed by (~0 while
+     *  one has not issued yet). */
+    Cycles readyAt(const InFlight &entry) const;
 
     CpuParams params_;
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;
     CoverageTracker coverage_;
+    /** The refill buffer: allocated by the first run(), reused by
+     *  every later one. */
+    std::unique_ptr<InstructionBatch> batch_;
 
     /** Completion cycles of recent instructions, by seq (ring). */
     std::vector<Cycles> complete_ring_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 
+#include "obs/phase_profiler.hh"
 #include "util/deadline.hh"
 #include "util/logging.hh"
 
@@ -68,6 +69,9 @@ OooCore::memAccess(AccessType type, Addr addr)
 CpuRunStats
 OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
 {
+    PhaseScope prof_run(Phase::Run);
+    if (!batch_)
+        batch_ = std::make_unique<InstructionBatch>();
     CpuRunStats stats;
     stats.instructions = count;
 
@@ -96,110 +100,115 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
     Addr cur_fetch_line = invalid_addr;
     std::uint64_t mem_ops = 0;
 
-    Instruction inst;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        pollCellDeadline();
-        workload.next(inst);
-
-        // --- fetch -------------------------------------------------
-        double fetch_t = std::max(fetch_avail, fetch_stall_until);
-        fetch_avail = fetch_t + fetch_step;
-        Addr line = l1i.blockAddr(inst.pc);
-        if (line != cur_fetch_line) {
-            cur_fetch_line = line;
-            ++stats.fetch_line_accesses;
-            Cycles lat = memAccess(AccessType::InstFetch, inst.pc);
-            stats.data_access_cycles += lat;
-            ++stats.data_accesses;
-            // The L1-hit latency is pipelined away; anything beyond it
-            // bubbles the front end.
-            if (lat > l1i_hit) {
-                fetch_stall_until =
-                    std::max(fetch_stall_until,
-                             fetch_t + static_cast<double>(lat - l1i_hit));
+    std::uint64_t i = 0;
+    while (i < count) {
+        {
+            PhaseScope prof(Phase::BatchGen);
+            pollCellDeadlineBatch();
+            workload.nextBatch(*batch_, std::min(count - i, refill_window));
+        }
+        for (const Instruction &inst : *batch_) {
+            // --- fetch -------------------------------------------------
+            double fetch_t = std::max(fetch_avail, fetch_stall_until);
+            fetch_avail = fetch_t + fetch_step;
+            Addr line = l1i.blockAddr(inst.pc);
+            if (line != cur_fetch_line) {
+                cur_fetch_line = line;
+                ++stats.fetch_line_accesses;
+                Cycles lat = memAccess(AccessType::InstFetch, inst.pc);
+                stats.data_access_cycles += lat;
+                ++stats.data_accesses;
+                // The L1-hit latency is pipelined away; anything beyond it
+                // bubbles the front end.
+                if (lat > l1i_hit) {
+                    fetch_stall_until =
+                        std::max(fetch_stall_until,
+                                 fetch_t + static_cast<double>(lat - l1i_hit));
+                }
             }
-        }
 
-        // --- dispatch (window occupancy) -----------------------------
-        double window_free =
-            commit_ring[i % params_.window_size]; // slot of (i - window)
-        double dispatch_t =
-            std::max(fetch_t + decode_depth, window_free);
+            // --- dispatch (window occupancy) -----------------------------
+            double window_free =
+                commit_ring[i % params_.window_size]; // slot of (i - window)
+            double dispatch_t =
+                std::max(fetch_t + decode_depth, window_free);
 
-        // --- operand readiness ---------------------------------------
-        double ready = dispatch_t;
-        if (inst.dep1 && inst.dep1 <= i) {
-            ready = std::max(ready,
-                             complete_ring[(i - inst.dep1) % dep_horizon]);
-        }
-        if (inst.dep2 && inst.dep2 <= i) {
-            ready = std::max(ready,
-                             complete_ring[(i - inst.dep2) % dep_horizon]);
-        }
-
-        // --- issue ----------------------------------------------------
-        // Bandwidth is reserved in aggregate: the cursor advances by
-        // 1/width per op but does NOT jump to a stalled op's ready
-        // time -- younger independent work may issue around it (true
-        // out-of-order selection; the window occupancy bounds how much
-        // backlog can pile up). Cross-validated against the
-        // cycle-driven model in tests/cycle_core_test.cc.
-        double issue_t = std::max(ready, issue_avail);
-        double complete;
-        if (inst.isMem()) {
-            // LSQ slot of (mem_ops - lsq_size) must have drained.
-            issue_t = std::max(issue_t,
-                               lsq_ring[mem_ops % params_.lsq_size]);
-            // MSHR bound on memory-level parallelism.
-            while (!mshrs.empty() && mshrs.top() <= issue_t)
-                mshrs.pop();
-            if (mshrs.size() >= params_.mshrs) {
-                issue_t = std::max(issue_t, mshrs.top());
-                mshrs.pop();
+            // --- operand readiness ---------------------------------------
+            double ready = dispatch_t;
+            if (inst.dep1 && inst.dep1 <= i) {
+                ready = std::max(ready,
+                                 complete_ring[(i - inst.dep1) % dep_horizon]);
             }
-            AccessType type = inst.cls == InstClass::Load
-                                  ? AccessType::Load
-                                  : AccessType::Store;
-            Cycles lat = memAccess(type, inst.mem_addr);
-            stats.data_access_cycles += lat;
-            ++stats.data_accesses;
-            double mem_done = issue_t + static_cast<double>(lat);
-            mshrs.push(mem_done);
-            lsq_ring[mem_ops % params_.lsq_size] = mem_done;
-            ++mem_ops;
-            if (inst.cls == InstClass::Load) {
-                complete = mem_done;
-                ++stats.loads;
+            if (inst.dep2 && inst.dep2 <= i) {
+                ready = std::max(ready,
+                                 complete_ring[(i - inst.dep2) % dep_horizon]);
+            }
+
+            // --- issue ----------------------------------------------------
+            // Bandwidth is reserved in aggregate: the cursor advances by
+            // 1/width per op but does NOT jump to a stalled op's ready
+            // time -- younger independent work may issue around it (true
+            // out-of-order selection; the window occupancy bounds how much
+            // backlog can pile up). Cross-validated against the
+            // cycle-driven model in tests/cycle_core_test.cc.
+            double issue_t = std::max(ready, issue_avail);
+            double complete;
+            if (inst.isMem()) {
+                // LSQ slot of (mem_ops - lsq_size) must have drained.
+                issue_t = std::max(issue_t,
+                                   lsq_ring[mem_ops % params_.lsq_size]);
+                // MSHR bound on memory-level parallelism.
+                while (!mshrs.empty() && mshrs.top() <= issue_t)
+                    mshrs.pop();
+                if (mshrs.size() >= params_.mshrs) {
+                    issue_t = std::max(issue_t, mshrs.top());
+                    mshrs.pop();
+                }
+                AccessType type = inst.cls == InstClass::Load
+                                      ? AccessType::Load
+                                      : AccessType::Store;
+                Cycles lat = memAccess(type, inst.mem_addr);
+                stats.data_access_cycles += lat;
+                ++stats.data_accesses;
+                double mem_done = issue_t + static_cast<double>(lat);
+                mshrs.push(mem_done);
+                lsq_ring[mem_ops % params_.lsq_size] = mem_done;
+                ++mem_ops;
+                if (inst.cls == InstClass::Load) {
+                    complete = mem_done;
+                    ++stats.loads;
+                } else {
+                    // Stores drain through the store buffer; dependents (via
+                    // forwarding) and commit see them complete quickly.
+                    complete = issue_t + 1.0;
+                    ++stats.stores;
+                }
             } else {
-                // Stores drain through the store buffer; dependents (via
-                // forwarding) and commit see them complete quickly.
-                complete = issue_t + 1.0;
-                ++stats.stores;
+                complete = issue_t + static_cast<double>(inst.exec_latency);
             }
-        } else {
-            complete = issue_t + static_cast<double>(inst.exec_latency);
-        }
-        issue_avail += issue_step;
-        complete_ring[i % dep_horizon] = complete;
+            issue_avail += issue_step;
+            complete_ring[i % dep_horizon] = complete;
 
-        // --- branches ---------------------------------------------------
-        if (inst.isBranch()) {
-            ++stats.branches;
-            if (inst.mispredicted) {
-                ++stats.mispredicts;
-                // Redirect: fetch resumes after resolution + penalty.
-                fetch_stall_until = std::max(
-                    fetch_stall_until,
-                    complete +
-                        static_cast<double>(params_.mispredict_penalty));
-                cur_fetch_line = invalid_addr;
+            // --- branches ---------------------------------------------------
+            if (inst.isBranch()) {
+                ++stats.branches;
+                if (inst.mispredicted) {
+                    ++stats.mispredicts;
+                    // Redirect: fetch resumes after resolution + penalty.
+                    fetch_stall_until = std::max(
+                        fetch_stall_until,
+                        complete +
+                            static_cast<double>(params_.mispredict_penalty));
+                    cur_fetch_line = invalid_addr;
+                }
             }
-        }
 
-        // --- commit (in order, bandwidth-limited) -----------------------
-        double commit_t = std::max(complete, commit_prev + commit_step);
-        commit_prev = commit_t;
-        commit_ring[i % params_.window_size] = commit_t;
+            // --- commit (in order, bandwidth-limited) -----------------------
+            double commit_t = std::max(complete, commit_prev + commit_step);
+            commit_prev = commit_t;
+            commit_ring[i % params_.window_size] = commit_t;
+            ++i;
+        }
     }
 
     stats.cycles = static_cast<Cycles>(std::ceil(commit_prev));

@@ -30,6 +30,7 @@
 #define MNM_CPU_OOO_CORE_HH
 
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -120,6 +121,9 @@ class OooCore
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;
     CoverageTracker coverage_;
+    /** The refill buffer: allocated by the first run(), reused by
+     *  every later one. */
+    std::unique_ptr<InstructionBatch> batch_;
 };
 
 } // namespace mnm

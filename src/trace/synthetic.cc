@@ -45,6 +45,8 @@ SyntheticWorkload::SyntheticWorkload(const SyntheticParams &params)
         region_fast_.push_back(rf);
     }
     temporal_thr_ = Rng::boolThreshold(params_.temporal_reuse);
+    if (params_.dep_dist_mean > 0.0)
+        dep_table_ = GeometricTable::forMean(params_.dep_dist_mean);
     if (total_weight_ <= 0.0)
         fatal("synthetic workload '%s': zero total region weight",
               params_.name.c_str());
@@ -183,12 +185,9 @@ SyntheticWorkload::generateLoop(Rng &rng, std::size_t n, Sink &&sink)
     const std::uint64_t mispredict_t =
         Rng::boolThreshold(params_.mispredict_rate);
     const std::uint64_t half_t = Rng::boolThreshold(0.5);
-    const double dep_mean = params_.dep_dist_mean;
-    // Bind the dependence-distance table once instead of re-checking
-    // the memoized mean on every draw (the dwell and loop-shape draws
-    // interleave other means through nextGeometric).
-    const GeometricTable *dep_table =
-        dep_mean > 0.0 ? GeometricTable::forMean(dep_mean) : nullptr;
+    // A local copy, so the sink's byte-sized stores cannot force a
+    // reload of the member.
+    const GeometricTable *dep_table = dep_table_;
 
     // The pc walk advances every instruction; keep it in locals and
     // resync around the (rare) startLoop draw.

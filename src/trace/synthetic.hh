@@ -149,6 +149,10 @@ class SyntheticWorkload : public WorkloadGenerator
     /** boolThreshold(temporal_reuse): integer form of the per-data-op
      *  reuse draw (see Rng::boolThreshold; same stream). */
     std::uint64_t temporal_thr_ = 0;
+    /** The dependence-distance table, bound once here: forMean() takes
+     *  a global lock, and generateLoop() runs once per next() call.
+     *  Null when dep_dist_mean <= 0 (no dependences). */
+    const GeometricTable *dep_table_ = nullptr;
 
     /** Current region and remaining dwell. */
     std::size_t active_region_ = 0;

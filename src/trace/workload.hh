@@ -8,6 +8,7 @@
 #ifndef MNM_TRACE_WORKLOAD_HH
 #define MNM_TRACE_WORKLOAD_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,6 +63,33 @@ class WorkloadGenerator
     /** Scratch for the base nextRequests(); heap, 128KB. */
     std::unique_ptr<InstructionBatch> derive_scratch_;
 };
+
+/**
+ * Records per bounded refill. A consumer that needs exactly N records
+ * asks nextBatch() for min(remaining, refill_window) at a time, so it
+ * never draws past N: a warm-up window and the measured window after
+ * it share one generator, and the second must start exactly where the
+ * first stopped. 256 records (6KB) stay L1-resident.
+ */
+inline constexpr std::uint64_t refill_window = 256;
+
+/**
+ * Calls @p fn on each of the next @p count records of @p workload,
+ * pulled through nextBatch() into @p batch in bounded refills: exactly
+ * what @p count calls of next() would produce, and no record more.
+ */
+template <typename Fn>
+void
+forEachRecord(WorkloadGenerator &workload, std::uint64_t count,
+              InstructionBatch &batch, Fn &&fn)
+{
+    while (count > 0) {
+        workload.nextBatch(batch, std::min(count, refill_window));
+        for (const Instruction &inst : batch)
+            fn(inst);
+        count -= batch.size;
+    }
+}
 
 /** Replays a fixed vector of instructions, cycling at the end. */
 class ScriptedWorkload : public WorkloadGenerator

@@ -1,0 +1,411 @@
+/**
+ * @file
+ * Pinned outputs for both timing cores.
+ *
+ * Each case runs OooCore or CycleOooCore and folds everything the run
+ * produced into one counter vector: every CpuRunStats field of every
+ * run() call, the MNM coverage (total and per level), each cache's
+ * accesses/hits/misses/bypasses, and the next record the workload
+ * yields afterwards (so a core that draws past its instruction budget
+ * fails here even when its own stats come out right). The expected
+ * digests were recorded from the single-step, cycle-by-cycle cores;
+ * the batched feed and the cycle core's idle-cycle skip are pure
+ * speed-ups and must reproduce them exactly. A mismatch prints the
+ * full counter vector.
+ *
+ * Coverage: spec2000 apps x {no MNM, HMNM4, Perfect} x {2, 5, 7}
+ * levels; ragged run() sizes (1, 4097, a count that is not a multiple
+ * of the refill window) back to back on one generator; and scripted
+ * workloads that hold the cycle core on each of its time gates -- an
+ * MSHR-bound load stream, a full LSQ, a full window, mispredict
+ * redirects and I-miss bubbles.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/presets.hh"
+#include "cpu/cycle_core.hh"
+#include "sim/config.hh"
+#include "trace/spec2000.hh"
+#include "trace/workload.hh"
+
+namespace mnm
+{
+namespace
+{
+
+/** One pinned case: the last run's cycles (readable anchor) and the
+ *  FNV-1a digest of the whole counter vector. */
+struct Pinned
+{
+    std::uint64_t cycles;
+    std::uint64_t digest;
+};
+
+const std::map<std::string, Pinned> &
+pinned()
+{
+    static const std::map<std::string, Pinned> table = {
+        {"ooo:164.gzip:2:none", {54918u, 0x3e59041f8c5c08d0ull}},
+        {"cycle:164.gzip:2:none", {51542u, 0xd2edca7f749d43c8ull}},
+        {"ooo:164.gzip:2:HMNM4", {53233u, 0xde98de7012c3d65dull}},
+        {"cycle:164.gzip:2:HMNM4", {49663u, 0x4e75fa6de7bfa804ull}},
+        {"ooo:164.gzip:2:Perfect", {52454u, 0x8f877908b0ac0676ull}},
+        {"cycle:164.gzip:2:Perfect", {49238u, 0x4e3ff6971b7bead4ull}},
+        {"ooo:164.gzip:5:none", {42552u, 0x6aaf0ea3908d3e17ull}},
+        {"cycle:164.gzip:5:none", {40684u, 0x370d2dfa1e5d506bull}},
+        {"ooo:164.gzip:5:HMNM4", {31294u, 0x0c875992dec45c61ull}},
+        {"cycle:164.gzip:5:HMNM4", {29821u, 0xde304d84daf0e442ull}},
+        {"ooo:164.gzip:5:Perfect", {30519u, 0x1d73a3f94e30fe5full}},
+        {"cycle:164.gzip:5:Perfect", {29222u, 0xc97900f45953d481ull}},
+        {"ooo:164.gzip:7:none", {68592u, 0xf9671a7fcab7c17eull}},
+        {"cycle:164.gzip:7:none", {65484u, 0x6747740e4aad881eull}},
+        {"ooo:164.gzip:7:HMNM4", {31294u, 0x49794312f0dbe1fdull}},
+        {"cycle:164.gzip:7:HMNM4", {29821u, 0xc7083b5a8ae256a6ull}},
+        {"ooo:164.gzip:7:Perfect", {30519u, 0x638094ae7f58b34bull}},
+        {"cycle:164.gzip:7:Perfect", {29222u, 0xe8fd8fd3a7ccb265ull}},
+        {"ooo:181.mcf:2:none", {173177u, 0x9ff987fe8c2b79a1ull}},
+        {"cycle:181.mcf:2:none", {169780u, 0xbfde155fa1df587full}},
+        {"ooo:181.mcf:2:HMNM4", {169974u, 0x84fc98b430d86bcbull}},
+        {"cycle:181.mcf:2:HMNM4", {166040u, 0x6b7e8586d21cc69eull}},
+        {"ooo:181.mcf:2:Perfect", {165081u, 0xf5ef8165a66584bfull}},
+        {"cycle:181.mcf:2:Perfect", {161844u, 0xbba220ed88c9e010ull}},
+        {"ooo:181.mcf:5:none", {167568u, 0xf4cdb4b3b1203b8aull}},
+        {"cycle:181.mcf:5:none", {156122u, 0x271904513035574cull}},
+        {"ooo:181.mcf:5:HMNM4", {124705u, 0x02104d15a0ac9413ull}},
+        {"cycle:181.mcf:5:HMNM4", {115586u, 0xec5607bf9b8c6427ull}},
+        {"ooo:181.mcf:5:Perfect", {119664u, 0xfeef9460f75e1b84ull}},
+        {"cycle:181.mcf:5:Perfect", {111542u, 0x8255c3c6fa0867b4ull}},
+        {"ooo:181.mcf:7:none", {280718u, 0xd6868800da674d19ull}},
+        {"cycle:181.mcf:7:none", {261212u, 0xd0af3ed308b3ff6dull}},
+        {"ooo:181.mcf:7:HMNM4", {130479u, 0xc33fa4a5eec0c558ull}},
+        {"cycle:181.mcf:7:HMNM4", {121348u, 0xd38c3508a6257caaull}},
+        {"ooo:181.mcf:7:Perfect", {119664u, 0x9135912e3871ca44ull}},
+        {"cycle:181.mcf:7:Perfect", {111542u, 0x0667dd04ddc37bb4ull}},
+        {"ooo:301.apsi:2:none", {65010u, 0xb33e5330668afff9ull}},
+        {"cycle:301.apsi:2:none", {66089u, 0xb96aa48001a9101aull}},
+        {"ooo:301.apsi:2:HMNM4", {63268u, 0x9b1306c267e854d0ull}},
+        {"cycle:301.apsi:2:HMNM4", {64519u, 0x1e87b76d7dec12c7ull}},
+        {"ooo:301.apsi:2:Perfect", {62114u, 0x3344233a6cc56868ull}},
+        {"cycle:301.apsi:2:Perfect", {63145u, 0x3d2fdb36785ed85dull}},
+        {"ooo:301.apsi:5:none", {51523u, 0x67fcbf679d658b6full}},
+        {"cycle:301.apsi:5:none", {47931u, 0x2cf91d41e6287c27ull}},
+        {"ooo:301.apsi:5:HMNM4", {38385u, 0xc9758a718e398890ull}},
+        {"cycle:301.apsi:5:HMNM4", {35521u, 0xdf0756ea535e0bc0ull}},
+        {"ooo:301.apsi:5:Perfect", {36915u, 0xd0099045494bc80aull}},
+        {"cycle:301.apsi:5:Perfect", {34187u, 0xf731d859589757ebull}},
+        {"ooo:301.apsi:7:none", {81903u, 0x0df7ceb4a165545bull}},
+        {"cycle:301.apsi:7:none", {76141u, 0xdb6518bf3795aebdull}},
+        {"ooo:301.apsi:7:HMNM4", {38385u, 0x3eb2bd590f6cdca8ull}},
+        {"cycle:301.apsi:7:HMNM4", {35521u, 0xb0319f65e15e0884ull}},
+        {"ooo:301.apsi:7:Perfect", {36915u, 0xa998fdeca2c41e0aull}},
+        {"cycle:301.apsi:7:Perfect", {34187u, 0xe7bef54adba6bbfbull}},
+        {"ooo:ragged:none", {4u, 0x395b355ce19961dbull}},
+        {"ooo:ragged:HMNM4", {4u, 0x3f6610951678d9eaull}},
+        {"cycle:ragged:none", {6u, 0x6c3cffaf2be57800ull}},
+        {"cycle:ragged:HMNM4", {6u, 0x81401d0b2c028af1ull}},
+        {"ooo:mshr_bound:none", {42793u, 0x297f16a17e8b95c6ull}},
+        {"ooo:mshr_bound:Perfect", {39681u, 0xa46900faa9b75dbfull}},
+        {"cycle:mshr_bound:none", {42795u, 0x7fdbe7f1a3435500ull}},
+        {"cycle:mshr_bound:Perfect", {39683u, 0x358e3e0d7bf2e9e5ull}},
+        {"ooo:lsq_full:none", {42792u, 0x800daa09cf7e6d6eull}},
+        {"ooo:lsq_full:Perfect", {39680u, 0xa7215367b10a7e07ull}},
+        {"cycle:lsq_full:none", {42793u, 0x4218f4abe894bcb3ull}},
+        {"cycle:lsq_full:Perfect", {39681u, 0x95ba01734eb00a6aull}},
+        {"ooo:window_full:none", {13497u, 0x8cb023eb11d03c7dull}},
+        {"ooo:window_full:Perfect", {12713u, 0x6d5c1a491ee6f5d7ull}},
+        {"cycle:window_full:none", {13499u, 0x708ed1035f9086dbull}},
+        {"cycle:window_full:Perfect", {12715u, 0x5e19d9c808158bb9ull}},
+        {"ooo:redirect:none", {20567u, 0x739107201e275987ull}},
+        {"ooo:redirect:Perfect", {19135u, 0x4ec400627eae85a8ull}},
+        {"cycle:redirect:none", {20594u, 0x141c1c810b081e14ull}},
+        {"cycle:redirect:Perfect", {19162u, 0xd9e9dc9a7b63706cull}},
+        {"ooo:imiss_bubble:none", {83812u, 0x9c3445fc7d474ac1ull}},
+        {"ooo:imiss_bubble:Perfect", {77604u, 0x3f4fe900c58ca6f4ull}},
+        {"cycle:imiss_bubble:none", {83814u, 0xcc062c4a50801ac7ull}},
+        {"cycle:imiss_bubble:Perfect", {77606u, 0xd3d00f57328fbc62ull}},
+    };
+    return table;
+}
+
+std::uint64_t
+fnv1a(const std::vector<std::uint64_t> &values)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint64_t v : values) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+void
+appendStats(std::vector<std::uint64_t> &out, const CpuRunStats &s)
+{
+    out.insert(out.end(),
+               {s.instructions, s.cycles, s.loads, s.stores, s.branches,
+                s.mispredicts, s.fetch_line_accesses, s.data_access_cycles,
+                s.data_accesses});
+}
+
+enum class Model
+{
+    Ooo,
+    Cycle,
+};
+
+/**
+ * Runs @p runs back to back on one core over @p workload and returns the
+ * counter vector; the last run's cycles go to @p last_cycles.
+ */
+template <typename Core>
+std::vector<std::uint64_t>
+runCore(const HierarchyParams &hp, const CpuParams &cp,
+        const std::string &config, WorkloadGenerator &workload,
+        const std::vector<std::uint64_t> &runs, Cycles &last_cycles)
+{
+    CacheHierarchy hierarchy(hp);
+    std::unique_ptr<MnmUnit> mnm;
+    if (!config.empty())
+        mnm = std::make_unique<MnmUnit>(mnmSpecByName(config), hierarchy);
+    Core core(cp, hierarchy, mnm.get());
+
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t n : runs) {
+        CpuRunStats stats = core.run(workload, n);
+        appendStats(out, stats);
+        last_cycles = stats.cycles;
+    }
+    for (CacheId id = 0; id < hierarchy.numCaches(); ++id) {
+        const CacheStats &st = hierarchy.cache(id).stats();
+        out.insert(out.end(), {st.accesses.value(), st.hits.value(),
+                               st.misses.value(), st.bypasses.value()});
+    }
+    if (mnm) {
+        const CoverageTracker &cov = core.coverage();
+        out.insert(out.end(), {cov.identified(), cov.opportunities()});
+        for (std::uint32_t l = 1; l <= hierarchy.levels(); ++l) {
+            out.insert(out.end(),
+                       {cov.identifiedAt(l), cov.unidentifiedAt(l)});
+        }
+    }
+    Instruction after;
+    workload.next(after);
+    out.insert(out.end(),
+               {after.pc, after.mem_addr, after.dep1, after.dep2,
+                static_cast<std::uint64_t>(after.cls)});
+    return out;
+}
+
+void
+checkCase(const std::string &name, Model model, const HierarchyParams &hp,
+          const CpuParams &cp, const std::string &config,
+          WorkloadGenerator &workload,
+          const std::vector<std::uint64_t> &runs)
+{
+    Cycles cycles = 0;
+    std::vector<std::uint64_t> counters =
+        model == Model::Ooo
+            ? runCore<OooCore>(hp, cp, config, workload, runs, cycles)
+            : runCore<CycleOooCore>(hp, cp, config, workload, runs, cycles);
+    const std::uint64_t digest = fnv1a(counters);
+
+    std::string dump;
+    for (std::uint64_t v : counters)
+        dump += std::to_string(v) + " ";
+    char line[160];
+    std::snprintf(line, sizeof(line), "{\"%s\", {%lluu, 0x%016llxull}},",
+                  name.c_str(), static_cast<unsigned long long>(cycles),
+                  static_cast<unsigned long long>(digest));
+
+    auto it = pinned().find(name);
+    if (it == pinned().end()) {
+        ADD_FAILURE() << "no pinned value for " << name << "\n"
+                      << line;
+        return;
+    }
+    EXPECT_EQ(cycles, it->second.cycles) << name;
+    EXPECT_EQ(digest, it->second.digest)
+        << name << "\n  now: " << line << "\n  counters: " << dump;
+}
+
+std::string
+modelName(Model model)
+{
+    return model == Model::Ooo ? "ooo" : "cycle";
+}
+
+/** A two-level toy machine: 1KB direct-mapped L1s, 8KB 2-way L2. */
+HierarchyParams
+tinyParams()
+{
+    HierarchyParams params;
+    LevelParams l1;
+    l1.data.name = "l1";
+    l1.data.capacity_bytes = 1024;
+    l1.data.associativity = 1;
+    l1.data.block_bytes = 32;
+    l1.data.hit_latency = 2;
+    LevelParams l2;
+    l2.data.name = "l2";
+    l2.data.capacity_bytes = 8192;
+    l2.data.associativity = 2;
+    l2.data.block_bytes = 32;
+    l2.data.hit_latency = 8;
+    params.levels = {l1, l2};
+    params.memory_latency = 100;
+    return params;
+}
+
+Instruction
+load(Addr addr, std::uint16_t dep1 = 0)
+{
+    Instruction inst;
+    inst.cls = InstClass::Load;
+    inst.pc = 0x1000;
+    inst.mem_addr = addr;
+    inst.dep1 = dep1;
+    return inst;
+}
+
+TEST(CpuIdentityTest, SpecGridMatchesPinnedOutputs)
+{
+    for (const char *app : {"164.gzip", "181.mcf", "301.apsi"}) {
+        for (int levels : {2, 5, 7}) {
+            for (const char *config : {"", "HMNM4", "Perfect"}) {
+                for (Model model : {Model::Ooo, Model::Cycle}) {
+                    std::string name = modelName(model) + ":" + app + ":" +
+                                       std::to_string(levels) + ":" +
+                                       (*config ? config : "none");
+                    auto w = makeSpecWorkload(app);
+                    checkCase(name, model, paperHierarchy(levels),
+                              paperCpu(levels), config, *w, {1000, 10000});
+                }
+            }
+        }
+    }
+}
+
+TEST(CpuIdentityTest, RaggedRunsOnOneGenerator)
+{
+    // 1 and 4097 straddle every refill boundary; 12345 is no multiple
+    // of the refill window; all runs share one generator, and the
+    // trailing record proves no run drew past its count.
+    for (Model model : {Model::Ooo, Model::Cycle}) {
+        for (const char *config : {"", "HMNM4"}) {
+            std::string name = modelName(model) + ":ragged:" +
+                               (*config ? config : "none");
+            auto w = makeSpecWorkload("181.mcf");
+            checkCase(name, model, paperHierarchy(5), paperCpu(5), config,
+                      *w, {1, 4097, 12345, 100000, 1});
+        }
+    }
+}
+
+TEST(CpuIdentityTest, ScriptedTimeGatesMatchPinnedOutputs)
+{
+    struct Scripted
+    {
+        const char *name;
+        std::vector<Instruction> script;
+        CpuParams cpu;
+    };
+    std::vector<Scripted> cases;
+
+    // MSHR-bound: independent loads to distinct lines, two MSHRs.
+    {
+        Scripted s{"mshr_bound", {}, CpuParams::fourWay()};
+        for (int i = 0; i < 64; ++i)
+            s.script.push_back(load(0x40000000ull + std::uint64_t(i) * 4096));
+        s.cpu.mshrs = 2;
+        cases.push_back(s);
+    }
+    // Full LSQ: a missing load chain holds the queue; stores pile up
+    // behind it.
+    {
+        Scripted s{"lsq_full", {}, CpuParams::fourWay()};
+        for (int i = 0; i < 32; ++i) {
+            s.script.push_back(
+                load(0x40000000ull + std::uint64_t(i) * 8192, 2));
+            Instruction st;
+            st.cls = InstClass::Store;
+            st.pc = 0x1004;
+            st.mem_addr = 0x50000000ull + std::uint64_t(i) * 64;
+            s.script.push_back(st);
+        }
+        s.cpu.lsq_size = 4;
+        cases.push_back(s);
+    }
+    // Full window: FP work behind a dependent missing load.
+    {
+        Scripted s{"window_full", {}, CpuParams::fourWay()};
+        for (int i = 0; i < 16; ++i) {
+            s.script.push_back(
+                load(0x40000000ull + std::uint64_t(i) * 4096, 1));
+            for (int k = 0; k < 7; ++k) {
+                Instruction fp;
+                fp.cls = InstClass::FpAlu;
+                fp.pc = 0x1004 + 4 * k;
+                fp.exec_latency = 4;
+                fp.dep1 = 1;
+                s.script.push_back(fp);
+            }
+        }
+        s.cpu.window_size = 8;
+        cases.push_back(s);
+    }
+    // Mispredict redirects: a branch resolving on a missing load.
+    {
+        Scripted s{"redirect", {}, CpuParams::eightWay()};
+        for (int i = 0; i < 32; ++i) {
+            s.script.push_back(
+                load(0x40000000ull + std::uint64_t(i) * 4096));
+            Instruction br;
+            br.cls = InstClass::Branch;
+            br.pc = 0x1004;
+            br.dep1 = 1;
+            br.mispredicted = i % 3 == 0;
+            s.script.push_back(br);
+            Instruction alu;
+            alu.cls = InstClass::IntAlu;
+            alu.pc = 0x1008;
+            s.script.push_back(alu);
+        }
+        cases.push_back(s);
+    }
+    // I-miss bubbles: every instruction on a fresh, far-apart code line.
+    {
+        Scripted s{"imiss_bubble", {}, CpuParams::eightWay()};
+        for (int i = 0; i < 96; ++i) {
+            Instruction alu;
+            alu.cls = InstClass::IntAlu;
+            alu.pc = 0x100000ull + std::uint64_t(i) * 8192;
+            alu.dep1 = i % 4 == 0 ? 0 : 1;
+            s.script.push_back(alu);
+        }
+        cases.push_back(s);
+    }
+
+    for (const Scripted &s : cases) {
+        for (Model model : {Model::Ooo, Model::Cycle}) {
+            for (const char *config : {"", "Perfect"}) {
+                std::string name = modelName(model) + ":" + s.name + ":" +
+                                   (*config ? config : "none");
+                ScriptedWorkload w(s.script);
+                checkCase(name, model, tinyParams(), s.cpu, config, w,
+                          {1, 3000, 777});
+            }
+        }
+    }
+}
+
+} // anonymous namespace
+} // namespace mnm

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/presets.hh"
+#include "cpu/cycle_core.hh"
 #include "obs/manifest.hh"
 #include "obs/perf_counters.hh"
 #include "obs/phase_profiler.hh"
@@ -321,6 +322,37 @@ TEST(ProfTest, WorkerProcessesShipAttributionOverTheResultPipe)
     EXPECT_TRUE(stats.has("prof.worker.w0.run.ticks") ||
                 stats.has("prof.worker.w1.run.ticks"));
     globalStats().clear();
+}
+
+TEST(ProfTest, TimingCoresAttributeRunAndRefills)
+{
+    // Each core charges run() to run and each bounded refill to
+    // batch_gen, so a profiled timing bench no longer reads as pure
+    // feed_drain. 1000 instructions are four refills of 256.
+    ProfReset guard;
+    setProfModeForTest(ProfMode::Time);
+    auto check = [](auto &core, const char *what) {
+        auto workload = makeSpecWorkload("181.mcf");
+        const PhaseTotals before = threadPhaseTotals();
+        core.run(*workload, 1000);
+        const PhaseTotals delta =
+            phaseTotalsDelta(before, threadPhaseTotals());
+        EXPECT_EQ(delta.phase[phaseIdx(Phase::Run)].transitions, 1u)
+            << what;
+        EXPECT_EQ(delta.phase[phaseIdx(Phase::BatchGen)].transitions, 4u)
+            << what;
+        EXPECT_GT(delta.phase[phaseIdx(Phase::Run)].ticks, 0u) << what;
+        EXPECT_GT(delta.phase[phaseIdx(Phase::FeedDrain)].transitions, 0u)
+            << what;
+    };
+    CacheHierarchy h1(paperHierarchy(5));
+    MnmUnit mnm1(makeHmnmSpec(4), h1);
+    OooCore ooo(paperCpu(5), h1, &mnm1);
+    check(ooo, "ooo");
+    CacheHierarchy h2(paperHierarchy(5));
+    MnmUnit mnm2(makeHmnmSpec(4), h2);
+    CycleOooCore cycle(paperCpu(5), h2, &mnm2);
+    check(cycle, "cycle");
 }
 
 TEST(ProfTest, SimulationIsByteIdenticalUnderProfiling)

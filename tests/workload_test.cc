@@ -49,6 +49,33 @@ TEST(SyntheticTest, Deterministic)
     }
 }
 
+TEST(SyntheticTest, ForEachRecordMatchesNextAndStopsAtCount)
+{
+    // Ragged counts around the refill window, back to back on one
+    // generator: the visited records are the next() stream, and the
+    // record after them is the one next() would produce next.
+    SyntheticWorkload a(basicParams());
+    SyntheticWorkload b(basicParams());
+    InstructionBatch batch;
+    Instruction expect;
+    for (std::uint64_t count : {1u, 255u, 256u, 257u, 4097u}) {
+        std::uint64_t seen = 0;
+        forEachRecord(a, count, batch, [&](const Instruction &inst) {
+            b.next(expect);
+            ASSERT_EQ(inst.pc, expect.pc);
+            ASSERT_EQ(inst.mem_addr, expect.mem_addr);
+            ASSERT_EQ(inst.dep1, expect.dep1);
+            ++seen;
+        });
+        EXPECT_EQ(seen, count);
+    }
+    Instruction after;
+    a.next(after);
+    b.next(expect);
+    EXPECT_EQ(after.pc, expect.pc);
+    EXPECT_EQ(after.mem_addr, expect.mem_addr);
+}
+
 TEST(SyntheticTest, ResetReplaysExactly)
 {
     SyntheticWorkload w(basicParams());
