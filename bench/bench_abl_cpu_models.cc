@@ -43,8 +43,8 @@ main()
                           "Ablation: dataflow vs cycle-driven core "
                           "(cycle-reduction %, both models)");
     const ExperimentOptions &opts = bench.opts();
-    // The cycle model is ~3x slower per instruction; cap the per-app
-    // budget.
+    // The cycle model costs ~1.7x the host time per instruction; cap
+    // the per-app budget.
     std::uint64_t n = std::min<std::uint64_t>(opts.instructions, 500000);
 
     bench.setHeader({"app", "df HMNM4", "cyc HMNM4", "df Perfect",

@@ -1,7 +1,8 @@
 #include "cpu/cycle_core.hh"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <utility>
 
 #include "obs/phase_profiler.hh"
 #include "util/deadline.hh"
@@ -13,16 +14,18 @@ namespace mnm
 namespace
 {
 
-/** "No such cycle": an unissued producer's completion time, and the
- *  idle skip's "nothing time-gated is pending". */
+/** "No such cycle": an unissued entry's completion time, and the idle
+ *  skip's "nothing time-gated is pending". */
 constexpr Cycles never = ~static_cast<Cycles>(0);
+
+/** The end of a waiter list. */
+constexpr std::uint32_t no_link = ~std::uint32_t{0};
 
 } // anonymous namespace
 
 CycleOooCore::CycleOooCore(const CpuParams &params,
                            CacheHierarchy &hierarchy, MnmUnit *mnm)
-    : params_(params), hierarchy_(hierarchy), mnm_(mnm),
-      complete_ring_(dep_horizon, 0)
+    : params_(params), hierarchy_(hierarchy), mnm_(mnm)
 {
     if (params_.fetch_width == 0 || params_.issue_width == 0 ||
         params_.commit_width == 0) {
@@ -51,55 +54,108 @@ CycleOooCore::memAccess(AccessType type, Addr addr, CpuRunStats &stats)
     return latency;
 }
 
-Cycles
-CycleOooCore::readyAt(const InFlight &entry) const
-{
-    auto producer_done = [&](std::uint16_t dist) -> Cycles {
-        if (dist == 0 || dist > entry.seq)
-            return 0;
-        std::uint64_t producer = entry.seq - dist;
-        return complete_ring_[producer % dep_horizon];
-    };
-    return std::max(producer_done(entry.inst.dep1),
-                    producer_done(entry.inst.dep2));
-}
-
 CpuRunStats
 CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
 {
     PhaseScope prof_run(Phase::Run);
-    if (!batch_)
+    // The fetch-buffer cap keeps dispatch from starving or ballooning.
+    const std::uint64_t fetch_buffer_cap = 4ull * params_.fetch_width + 8;
+    if (!batch_) {
         batch_ = std::make_unique<InstructionBatch>();
+        const std::size_t slots = std::bit_ceil(
+            static_cast<std::size_t>(params_.window_size));
+        window_.resize(slots);
+        links_.resize(2 * slots);
+        visit_.resize((slots + 63) / 64);
+        wakes_.reserve(slots);
+        fetch_buffer_.resize(std::bit_ceil(fetch_buffer_cap));
+        mshr_free_.reserve(params_.mshrs);
+    }
     CpuRunStats stats;
     stats.instructions = count;
 
     const Cache &l1i = hierarchy_.cacheAt(1, AccessType::InstFetch);
     const Cycles l1i_hit = l1i.params().hit_latency;
     const Cycles decode_depth = 3;
+    const std::uint64_t window_mask = window_.size() - 1;
+    const std::uint64_t fetch_mask = fetch_buffer_.size() - 1;
 
-    std::deque<InFlight> fetch_buffer; // fetched, not yet in the window
-    std::deque<InFlight> window;       // the RUU (program order)
+    // Instruction seq sits in the fetch buffer while dispatched <= seq
+    // < fetched, and in the window while committed <= seq < dispatched.
+    std::uint64_t fetched = 0;
+    std::uint64_t dispatched = 0;
+    std::uint64_t committed = 0;
     std::uint32_t lsq_used = 0;
-    std::vector<Cycles> mshr_free; // completion cycle per busy MSHR
+    mshr_free_.clear();
 
     Cycles now = 0;
     Cycles fetch_stalled_until = 0;
-    /** seq of an unresolved mispredicted branch fetch waits on, or ~0. */
-    std::uint64_t redirect_seq = ~std::uint64_t{0};
+    // A mispredicted branch halts fetch until it resolves, so at most
+    // one is in flight unissued: redirect_pending says one is, and
+    // redirect_done is 0 until it issues.
     Cycles redirect_done = 0;
     bool redirect_pending = false;
     Addr cur_fetch_line = invalid_addr;
-    std::uint64_t fetched = 0;
-    std::uint64_t committed = 0;
     // Fetch reads records from batch_; a refill happens only once the
     // buffer is drained, so every record pulled this run is fetched by
     // its end and nothing carries over to the next run().
     std::size_t batch_pos = 0;
     batch_->size = 0;
 
-    // The fetch-buffer cap keeps dispatch from starving or ballooning.
-    const std::size_t fetch_buffer_cap = 4ull * params_.fetch_width +
-                                         8;
+    // All producers of the entry in @p slot have issued and its
+    // operands arrive at @p ready: queue it for the issue scan of that
+    // cycle.
+    // Min-heap order of wakes_.
+    const auto later = [](const Wake &a, const Wake &b) {
+        return a.ready > b.ready;
+    };
+    auto wake = [&](std::uint32_t slot, Cycles ready) {
+        if (ready <= now) {
+            visit_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+        } else {
+            wakes_.push_back({ready, slot});
+            std::push_heap(wakes_.begin(), wakes_.end(), later);
+        }
+    };
+    // Issues the entry in @p slot unless it needs an MSHR and none is
+    // free; wakes its waiters. Returns whether it issued.
+    auto try_issue = [&](std::uint32_t slot) {
+        Slot &entry = window_[slot];
+        if (entry.inst.isMem()) {
+            if (mshr_free_.size() >= params_.mshrs)
+                return false; // no MSHR: stall this op
+            const bool is_load = entry.inst.cls == InstClass::Load;
+            Cycles lat = memAccess(is_load ? AccessType::Load
+                                           : AccessType::Store,
+                                   entry.inst.mem_addr, stats);
+            Cycles mem_done = now + lat;
+            mshr_free_.push_back(mem_done);
+            // Stores retire through the store buffer; loads wait for
+            // the data.
+            entry.complete = is_load ? mem_done : now + 1;
+        } else {
+            entry.complete = now + entry.inst.exec_latency;
+        }
+        visit_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+        if (entry.inst.isBranch() && entry.inst.mispredicted) {
+            // Resolution time now known: fetch resumes after the
+            // branch completes plus the refill penalty.
+            MNM_ASSERT(redirect_pending && redirect_done == 0,
+                       "mispredicted branch issued with no redirect");
+            redirect_done = entry.complete + params_.mispredict_penalty;
+        }
+        // Every operand arrival time this completion decides is final
+        // now; a zero-latency result can ready a younger waiter within
+        // this cycle's scan.
+        for (std::uint32_t link = entry.waiters; link != no_link;
+             link = links_[link]) {
+            Slot &waiter = window_[link >> 1];
+            waiter.ready = std::max(waiter.ready, entry.complete);
+            if (--waiter.pending == 0)
+                wake(link >> 1, waiter.ready);
+        }
+        return true;
+    };
 
     while (committed < count) {
         pollCellDeadline();
@@ -108,88 +164,103 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
         bool progress = false;
 
         // --- commit -------------------------------------------------
-        for (std::uint32_t n = 0; n < params_.commit_width &&
-                                  !window.empty();
-             ++n) {
-            InFlight &head = window.front();
-            if (!head.issued || head.complete > now)
-                break;
-            if (head.is_load || head.is_store) {
+        for (std::uint32_t n = 0;
+             n < params_.commit_width && committed < dispatched; ++n) {
+            const Slot &head = window_[committed & window_mask];
+            if (head.complete > now)
+                break; // still executing, or not issued
+            if (head.inst.isMem()) {
                 MNM_ASSERT(lsq_used > 0, "LSQ underflow");
                 --lsq_used;
             }
             ++committed;
-            window.pop_front();
             progress = true;
         }
 
         // --- issue (oldest ready first) ------------------------------
         // Free MSHRs whose fills have arrived.
-        mshr_free.erase(std::remove_if(mshr_free.begin(),
-                                       mshr_free.end(),
-                                       [&](Cycles c) {
-                                           return c <= now;
-                                       }),
-                        mshr_free.end());
+        mshr_free_.erase(std::remove_if(mshr_free_.begin(),
+                                        mshr_free_.end(),
+                                        [&](Cycles c) {
+                                            return c <= now;
+                                        }),
+                         mshr_free_.end());
+        // Operands arriving by now make their entries visitable.
+        while (!wakes_.empty() && wakes_.front().ready <= now) {
+            const std::uint32_t slot = wakes_.front().slot;
+            visit_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+            std::pop_heap(wakes_.begin(), wakes_.end(), later);
+            wakes_.pop_back();
+        }
+        // Visit the ready entries in program order: from the window
+        // head to the end of the ring, then from its start. Each word
+        // is re-read per entry, so a waiter an issue readies in this
+        // cycle (always younger) is still visited.
         std::uint32_t issued_this_cycle = 0;
-        // Earliest cycle at which a waiting operand arrives.
-        Cycles operand_wake = never;
-        for (InFlight &entry : window) {
-            if (issued_this_cycle >= params_.issue_width)
-                break;
-            if (entry.issued)
-                continue;
-            const Cycles ready = readyAt(entry);
-            if (ready > now) {
-                operand_wake = std::min(operand_wake, ready);
-                continue;
-            }
-            if (entry.is_load || entry.is_store) {
-                if (mshr_free.size() >= params_.mshrs)
-                    continue; // no MSHR: stall this op
-                AccessType type = entry.is_load ? AccessType::Load
-                                                : AccessType::Store;
-                Cycles lat = memAccess(type, entry.inst.mem_addr, stats);
-                Cycles mem_done = now + lat;
-                mshr_free.push_back(mem_done);
-                // Stores retire through the store buffer; loads wait
-                // for the data.
-                entry.complete = entry.is_load ? mem_done : now + 1;
-            } else {
-                entry.complete = now + entry.inst.exec_latency;
-            }
-            entry.issued = true;
-            progress = true;
-            // Publish the completion time for dependents. The window
-            // (<=128) is far smaller than the ring (1024), so in-flight
-            // sequence numbers never collide.
-            complete_ring_[entry.seq % dep_horizon] = entry.complete;
-            ++issued_this_cycle;
-            if (entry.inst.isBranch() && entry.inst.mispredicted &&
-                redirect_pending && redirect_seq == entry.seq) {
-                // Resolution time now known: fetch resumes after the
-                // branch completes plus the refill penalty.
-                redirect_done =
-                    entry.complete + params_.mispredict_penalty;
+        const std::uint32_t head_slot =
+            static_cast<std::uint32_t>(committed & window_mask);
+        const std::uint32_t ring_slots =
+            static_cast<std::uint32_t>(window_.size());
+        for (auto [from, to] : {std::pair{head_slot, ring_slots},
+                                std::pair{0u, head_slot}}) {
+            for (std::uint32_t slot = from;
+                 slot < to && issued_this_cycle < params_.issue_width;
+                 ++slot) {
+                const std::uint64_t bits = visit_[slot >> 6] >> (slot & 63);
+                if (bits == 0) {
+                    slot |= 63; // on to the next word
+                    continue;
+                }
+                slot += static_cast<std::uint32_t>(std::countr_zero(bits));
+                if (slot < to && try_issue(slot)) {
+                    ++issued_this_cycle;
+                    progress = true;
+                }
             }
         }
 
         // --- dispatch -------------------------------------------------
         for (std::uint32_t n = 0; n < params_.fetch_width; ++n) {
-            if (fetch_buffer.empty() ||
-                window.size() >= params_.window_size) {
+            if (dispatched == fetched ||
+                dispatched - committed >= params_.window_size) {
                 break;
             }
-            InFlight &cand = fetch_buffer.front();
+            const Fetched &cand = fetch_buffer_[dispatched & fetch_mask];
             if (cand.fetched + decode_depth > now)
                 break;
-            if ((cand.is_load || cand.is_store)) {
+            if (cand.inst.isMem()) {
                 if (lsq_used >= params_.lsq_size)
                     break; // in-order dispatch blocks on a full LSQ
                 ++lsq_used;
             }
-            window.push_back(cand);
-            fetch_buffer.pop_front();
+            // Link each operand to its producer. One that is d >
+            // (window occupancy) back has committed, so its result
+            // arrived by now and never gates issue.
+            const std::uint64_t in_window = dispatched - committed;
+            const auto slot =
+                static_cast<std::uint32_t>(dispatched & window_mask);
+            Slot &entry = window_[slot];
+            entry.inst = cand.inst;
+            entry.complete = never;
+            entry.ready = 0;
+            entry.waiters = no_link;
+            entry.pending = 0;
+            for (std::uint32_t k = 0; k < 2; ++k) {
+                const std::uint16_t d = k ? entry.inst.dep2 : entry.inst.dep1;
+                if (d == 0 || d > in_window)
+                    continue;
+                Slot &producer = window_[(dispatched - d) & window_mask];
+                if (producer.complete != never) {
+                    entry.ready = std::max(entry.ready, producer.complete);
+                } else {
+                    links_[2 * slot + k] = producer.waiters;
+                    producer.waiters = 2 * slot + k;
+                    ++entry.pending;
+                }
+            }
+            if (entry.pending == 0)
+                wake(slot, entry.ready);
+            ++dispatched;
             progress = true;
         }
 
@@ -198,7 +269,6 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
         if (redirect_pending) {
             if (redirect_done != 0 && redirect_done <= now) {
                 redirect_pending = false;
-                redirect_seq = ~std::uint64_t{0};
                 redirect_done = 0;
                 cur_fetch_line = invalid_addr;
                 progress = true;
@@ -209,7 +279,7 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
         if (!fetch_blocked) {
             for (std::uint32_t n = 0; n < params_.fetch_width; ++n) {
                 if (fetched >= count ||
-                    fetch_buffer.size() >= fetch_buffer_cap) {
+                    fetched - dispatched >= fetch_buffer_cap) {
                     break;
                 }
                 if (batch_pos == batch_->size) {
@@ -218,18 +288,14 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                         *batch_, std::min(count - fetched, refill_window));
                     batch_pos = 0;
                 }
-                InFlight entry;
+                Fetched &entry = fetch_buffer_[fetched & fetch_mask];
                 entry.inst = batch_->records[batch_pos++];
-                entry.seq = fetched++;
                 entry.fetched = now;
+                ++fetched;
                 progress = true;
-                // Not ready until issued.
-                complete_ring_[entry.seq % dep_horizon] = never;
-                entry.is_load = entry.inst.cls == InstClass::Load;
-                entry.is_store = entry.inst.cls == InstClass::Store;
-                if (entry.is_load)
+                if (entry.inst.cls == InstClass::Load)
                     ++stats.loads;
-                if (entry.is_store)
+                if (entry.inst.cls == InstClass::Store)
                     ++stats.stores;
 
                 Addr line = l1i.blockAddr(entry.inst.pc);
@@ -249,13 +315,10 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                     if (entry.inst.mispredicted) {
                         ++stats.mispredicts;
                         redirect_pending = true;
-                        redirect_seq = entry.seq;
                         redirect_done = 0; // known at issue
-                        fetch_buffer.push_back(entry);
                         break; // no fetch past an unresolved redirect
                     }
                 }
-                fetch_buffer.push_back(entry);
                 if (fetch_stalled_until > now)
                     break; // the I-miss bubble starts after this one
             }
@@ -268,8 +331,8 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
             // change needs a time-gated condition to flip, and each one
             // flips at a cycle known now:
             //  - commit: the head's completion (once it has issued);
-            //  - issue: an operand's arrival (operand_wake) or a freed
-            //    MSHR (every mshr_free time);
+            //  - issue: an operand's arrival (the earliest is the wake
+            //    heap's top) or a freed MSHR (every mshr_free_ time);
             //  - dispatch: the fetch-buffer head clearing decode;
             //  - fetch: the I-miss stall ending, or a known redirect
             //    resolving.
@@ -280,28 +343,30 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
             // repeat this one's no-op, and jumping to it leaves the
             // simulated machine, its stats and its final cycle count
             // untouched. Candidates at or before now are already
-            // satisfied (something else blocks), so they are skipped.
-            Cycles next = operand_wake;
+            // satisfied (something else blocks), so they are skipped;
+            // with none left, no cycle ever changes anything again.
+            Cycles next = never;
             auto candidate = [&](Cycles c) {
                 if (c > now && c < next)
                     next = c;
             };
-            if (!window.empty() && window.front().issued)
-                candidate(window.front().complete);
-            for (Cycles c : mshr_free)
+            if (!wakes_.empty())
+                candidate(wakes_.front().ready);
+            if (committed < dispatched)
+                candidate(window_[committed & window_mask].complete);
+            for (Cycles c : mshr_free_)
                 candidate(c);
-            if (!fetch_buffer.empty())
-                candidate(fetch_buffer.front().fetched + decode_depth);
+            if (dispatched < fetched) {
+                candidate(fetch_buffer_[dispatched & fetch_mask].fetched +
+                          decode_depth);
+            }
             candidate(fetch_stalled_until);
             if (redirect_done != 0)
                 candidate(redirect_done);
-            now = next == never ? now + 1 : next;
-        }
-        // Deadlock guard: an empty machine with nothing left to fetch
-        // cannot make progress (would indicate a model bug).
-        if (window.empty() && fetch_buffer.empty() &&
-            fetched >= count && committed < count) {
-            panic("cycle core drained without committing everything");
+            if (next == never)
+                panic("cycle core deadlocked at cycle %llu",
+                      static_cast<unsigned long long>(now));
+            now = next;
         }
     }
 

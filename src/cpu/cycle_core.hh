@@ -16,7 +16,11 @@
  *  - dispatch: fetch-buffer entries older than the decode depth move
  *    into the RUU while entries remain;
  *  - issue: oldest-ready-first, up to issue_width per cycle; loads and
- *    stores additionally need a free LSQ slot and an MSHR;
+ *    stores additionally need a free LSQ slot and an MSHR. Issue is
+ *    event-driven: an entry is visited only once its last producer has
+ *    issued and its operands have arrived (wake-up lists, DESIGN.md
+ *    decision 26), so a cycle costs its issues and wake-ups, not the
+ *    window size;
  *  - commit: up to commit_width completed instructions per cycle, in
  *    order.
  *
@@ -28,10 +32,10 @@
  *
  * The two models are cross-validated in tests/cycle_core_test.cc: they
  * must agree on throughput bounds, and rank machine configurations the
- * same way. The benches use OooCore, which costs ~150 ns of host time
- * per simulated instruction against this model's ~500 ns (3.3x;
- * perfbench timing_cores, traced, on a 4-vCPU x86-64 VM); this model
- * is the reference.
+ * same way. The benches use OooCore, which costs ~200-250 ns of host
+ * time per simulated instruction against this model's ~350-420 ns
+ * (1.7x; perfbench timing_cores, traced, on a 4-vCPU x86-64 VM); this
+ * model is the reference.
  */
 
 #ifndef MNM_CPU_CYCLE_CORE_HH
@@ -60,34 +64,56 @@ class CycleOooCore
     const CoverageTracker &coverage() const { return coverage_; }
 
   private:
-    /** One in-flight instruction (fetch buffer or RUU). */
-    struct InFlight
+    /** One RUU entry; instruction seq lives in slot seq & (size - 1). */
+    struct Slot
     {
         Instruction inst;
-        std::uint64_t seq = 0;     //!< global program-order index
-        Cycles fetched = 0;        //!< cycle fetch completed
-        Cycles complete = 0;       //!< result-ready cycle (once issued)
-        bool issued = false;
-        bool is_load = false;
-        bool is_store = false;
+        Cycles complete = 0; //!< result-ready cycle; never until issued
+        Cycles ready = 0;    //!< latest completion of issued producers
+        std::uint32_t waiters = 0; //!< head link of the waiter list
+        std::uint8_t pending = 0;  //!< producers not yet issued
+    };
+    /** A fetched instruction waiting in the fetch buffer. */
+    struct Fetched
+    {
+        Instruction inst;
+        Cycles fetched = 0; //!< cycle fetch completed
+    };
+    /** A consumer whose last operand arrives at a known future cycle. */
+    struct Wake
+    {
+        Cycles ready;
+        std::uint32_t slot;
     };
 
     Cycles memAccess(AccessType type, Addr addr, CpuRunStats &stats);
-    /** The cycle both producers of @p entry have completed by (~0 while
-     *  one has not issued yet). */
-    Cycles readyAt(const InFlight &entry) const;
 
     CpuParams params_;
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;
     CoverageTracker coverage_;
     /** The refill buffer: allocated by the first run(), reused by
-     *  every later one. */
+     *  every later one, as are the structures below. All but
+     *  mshr_free_ (cleared as a run starts) are empty again whenever a
+     *  run() returns. */
     std::unique_ptr<InstructionBatch> batch_;
 
-    /** Completion cycles of recent instructions, by seq (ring). */
-    std::vector<Cycles> complete_ring_;
-    static constexpr std::uint64_t dep_horizon = 1024;
+    /** The RUU window, a ring of power-of-two size. */
+    std::vector<Slot> window_;
+    /** Waiter-list links, two per slot (one per dependence): link
+     *  2 * slot + k chains slot's k-th operand into its producer's
+     *  list. */
+    std::vector<std::uint32_t> links_;
+    /** Bitmap over window slots: unissued entries whose operands have
+     *  all arrived. */
+    std::vector<std::uint64_t> visit_;
+    /** Min-heap by ready cycle of entries whose operands arrive
+     *  later. */
+    std::vector<Wake> wakes_;
+    /** The fetch buffer, a ring of power-of-two size. */
+    std::vector<Fetched> fetch_buffer_;
+    /** Completion cycle of every busy MSHR. */
+    std::vector<Cycles> mshr_free_;
 };
 
 } // namespace mnm

@@ -75,11 +75,11 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
     CpuRunStats stats;
     stats.instructions = count;
 
-    // Dependence look-back ring: must cover the largest producer
-    // distance the generators emit (<= 512).
-    constexpr std::uint64_t dep_horizon = 1024;
-    std::vector<double> complete_ring(dep_horizon, 0.0);
-    std::vector<double> commit_ring(params_.window_size, 0.0);
+    // Completion and commit times of the last window_size
+    // instructions, by i % window_size.
+    const std::uint64_t window = params_.window_size;
+    std::vector<double> complete_ring(window, 0.0);
+    std::vector<double> commit_ring(window, 0.0);
     std::vector<double> lsq_ring(params_.lsq_size, 0.0);
     std::priority_queue<double, std::vector<double>, std::greater<double>>
         mshrs;
@@ -128,20 +128,21 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
             }
 
             // --- dispatch (window occupancy) -----------------------------
-            double window_free =
-                commit_ring[i % params_.window_size]; // slot of (i - window)
+            const std::uint64_t slot = i % window;
+            double window_free = commit_ring[slot]; // slot of (i - window)
             double dispatch_t =
                 std::max(fetch_t + decode_depth, window_free);
 
             // --- operand readiness ---------------------------------------
+            // A producer d >= window back committed by window_free, so
+            // its result is in by dispatch and is skipped.
             double ready = dispatch_t;
-            if (inst.dep1 && inst.dep1 <= i) {
-                ready = std::max(ready,
-                                 complete_ring[(i - inst.dep1) % dep_horizon]);
-            }
-            if (inst.dep2 && inst.dep2 <= i) {
-                ready = std::max(ready,
-                                 complete_ring[(i - inst.dep2) % dep_horizon]);
+            for (std::uint16_t d : {inst.dep1, inst.dep2}) {
+                if (d == 0 || d > i || d >= window)
+                    continue;
+                const std::uint64_t producer =
+                    slot >= d ? slot - d : slot + window - d;
+                ready = std::max(ready, complete_ring[producer]);
             }
 
             // --- issue ----------------------------------------------------
@@ -187,7 +188,7 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                 complete = issue_t + static_cast<double>(inst.exec_latency);
             }
             issue_avail += issue_step;
-            complete_ring[i % dep_horizon] = complete;
+            complete_ring[slot] = complete;
 
             // --- branches ---------------------------------------------------
             if (inst.isBranch()) {
@@ -206,7 +207,7 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
             // --- commit (in order, bandwidth-limited) -----------------------
             double commit_t = std::max(complete, commit_prev + commit_step);
             commit_prev = commit_t;
-            commit_ring[i % params_.window_size] = commit_t;
+            commit_ring[slot] = commit_t;
             ++i;
         }
     }

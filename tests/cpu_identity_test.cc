@@ -15,10 +15,17 @@
  *
  * Coverage: spec2000 apps x {no MNM, HMNM4, Perfect} x {2, 5, 7}
  * levels; ragged run() sizes (1, 4097, a count that is not a multiple
- * of the refill window) back to back on one generator; and scripted
+ * of the refill window) back to back on one generator; scripted
  * workloads that hold the cycle core on each of its time gates -- an
  * MSHR-bound load stream, a full LSQ, a full window, mispredict
- * redirects and I-miss bubbles.
+ * redirects and I-miss bubbles; scripted wake-up edge cases of the
+ * event-driven issue stage (zero-latency producers, dep1 == dep2, a
+ * load fanning out past the issue width, an MSHR-blocked load ahead of
+ * ready ALU ops, consumers of stores, a window that is not a power of
+ * two); and 24 seeded random scripts. The wake-up and random digests
+ * were recorded from the scan-based issue stage that the wake-up lists
+ * replaced. A last test checks that producers a window or more back,
+ * out to distance 4096, never delay issue in either core.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +41,7 @@
 #include "sim/config.hh"
 #include "trace/spec2000.hh"
 #include "trace/workload.hh"
+#include "util/deadline.hh"
 
 namespace mnm
 {
@@ -130,6 +138,34 @@ pinned()
         {"ooo:imiss_bubble:Perfect", {77604u, 0x3f4fe900c58ca6f4ull}},
         {"cycle:imiss_bubble:none", {83814u, 0xcc062c4a50801ac7ull}},
         {"cycle:imiss_bubble:Perfect", {77606u, 0xd3d00f57328fbc62ull}},
+        {"ooo:zero_latency_wake:none", {788u, 0x0ea618ce53f4af93ull}},
+        {"ooo:zero_latency_wake:Perfect", {732u, 0x612f33288b122eb7ull}},
+        {"cycle:zero_latency_wake:none", {797u, 0x4e594d6a4fa36796ull}},
+        {"cycle:zero_latency_wake:Perfect", {741u, 0x3951f4a70c6b03adull}},
+        {"ooo:same_dep_twice:none", {3436u, 0xa9a4a2cf1be4b2cdull}},
+        {"ooo:same_dep_twice:Perfect", {3188u, 0x10fdaabb00157f1eull}},
+        {"cycle:same_dep_twice:none", {4413u, 0x506b556171d85781ull}},
+        {"cycle:same_dep_twice:Perfect", {4093u, 0x010b4b9ee3c7b2dfull}},
+        {"ooo:load_fanout:none", {799u, 0x8a415d1fdbeb7657ull}},
+        {"ooo:load_fanout:Perfect", {743u, 0x78ab687bd85fb58eull}},
+        {"cycle:load_fanout:none", {851u, 0xb47c62cc50f15337ull}},
+        {"cycle:load_fanout:Perfect", {795u, 0x45b057c2896ffe4dull}},
+        {"ooo:mshr_blocked:none", {9246u, 0x5e97ce04cf0de5c8ull}},
+        {"ooo:mshr_blocked:Perfect", {8574u, 0x6f6e1a1f51f2389aull}},
+        {"cycle:mshr_blocked:none", {9247u, 0x93eb806463268c6aull}},
+        {"cycle:mshr_blocked:Perfect", {8575u, 0xbab5ae8c6ccf007cull}},
+        {"ooo:store_consumer:none", {2559u, 0x81030d7150c5d915ull}},
+        {"ooo:store_consumer:Perfect", {2383u, 0x7eb9e7443a199464ull}},
+        {"cycle:store_consumer:none", {4092u, 0x5b4b451ec81db155ull}},
+        {"cycle:store_consumer:Perfect", {3804u, 0xf8170b93ec352249ull}},
+        {"ooo:window_48:none", {1608u, 0xca43ef061c1e200bull}},
+        {"ooo:window_48:Perfect", {1496u, 0xaf4f545ccde9effaull}},
+        {"cycle:window_48:none", {1628u, 0xe00983079f821440ull}},
+        {"cycle:window_48:Perfect", {1516u, 0x41ef6c9c8a8e5880ull}},
+        {"ooo:random24:none", {342825u, 0xeae8345ac698eb06ull}},
+        {"ooo:random24:Perfect", {320645u, 0x499a0b6b25a344d4ull}},
+        {"cycle:random24:none", {353631u, 0xa8e2e56e7c435a9eull}},
+        {"cycle:random24:Perfect", {330450u, 0xfa6f20479787a1dfull}},
     };
     return table;
 }
@@ -205,17 +241,24 @@ runCore(const HierarchyParams &hp, const CpuParams &cp,
     return out;
 }
 
-void
-checkCase(const std::string &name, Model model, const HierarchyParams &hp,
-          const CpuParams &cp, const std::string &config,
-          WorkloadGenerator &workload,
-          const std::vector<std::uint64_t> &runs)
+/** Runs one case on @p model; see runCore(). */
+std::vector<std::uint64_t>
+runModel(Model model, const HierarchyParams &hp, const CpuParams &cp,
+         const std::string &config, WorkloadGenerator &workload,
+         const std::vector<std::uint64_t> &runs, Cycles &last_cycles)
 {
-    Cycles cycles = 0;
-    std::vector<std::uint64_t> counters =
-        model == Model::Ooo
-            ? runCore<OooCore>(hp, cp, config, workload, runs, cycles)
-            : runCore<CycleOooCore>(hp, cp, config, workload, runs, cycles);
+    return model == Model::Ooo
+               ? runCore<OooCore>(hp, cp, config, workload, runs,
+                                  last_cycles)
+               : runCore<CycleOooCore>(hp, cp, config, workload, runs,
+                                       last_cycles);
+}
+
+/** Checks @p counters and @p cycles against the pinned entry @p name. */
+void
+expectPinned(const std::string &name, Cycles cycles,
+             const std::vector<std::uint64_t> &counters)
+{
     const std::uint64_t digest = fnv1a(counters);
 
     std::string dump;
@@ -235,6 +278,18 @@ checkCase(const std::string &name, Model model, const HierarchyParams &hp,
     EXPECT_EQ(cycles, it->second.cycles) << name;
     EXPECT_EQ(digest, it->second.digest)
         << name << "\n  now: " << line << "\n  counters: " << dump;
+}
+
+void
+checkCase(const std::string &name, Model model, const HierarchyParams &hp,
+          const CpuParams &cp, const std::string &config,
+          WorkloadGenerator &workload,
+          const std::vector<std::uint64_t> &runs)
+{
+    Cycles cycles = 0;
+    std::vector<std::uint64_t> counters =
+        runModel(model, hp, cp, config, workload, runs, cycles);
+    expectPinned(name, cycles, counters);
 }
 
 std::string
@@ -274,6 +329,44 @@ load(Addr addr, std::uint16_t dep1 = 0)
     inst.mem_addr = addr;
     inst.dep1 = dep1;
     return inst;
+}
+
+Instruction
+store(Addr addr, std::uint16_t dep1 = 0)
+{
+    Instruction inst = load(addr, dep1);
+    inst.cls = InstClass::Store;
+    return inst;
+}
+
+/** An integer op of @p latency cycles on producers @p dep1, @p dep2. */
+Instruction
+alu(std::uint16_t dep1, std::uint8_t latency = 1, std::uint16_t dep2 = 0)
+{
+    Instruction inst;
+    inst.cls = InstClass::IntAlu;
+    inst.pc = 0x1004;
+    inst.dep1 = dep1;
+    inst.dep2 = dep2;
+    inst.exec_latency = latency;
+    return inst;
+}
+
+/** A data address that misses both levels of tinyParams(). */
+Addr
+missAddr(std::uint64_t i)
+{
+    return 0x40000000ull + i * 4096;
+}
+
+/** splitmix64: a portable, seeded source for the random scripts. */
+std::uint64_t
+splitmix(std::uint64_t &state)
+{
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
 }
 
 TEST(CpuIdentityTest, SpecGridMatchesPinnedOutputs)
@@ -405,6 +498,230 @@ TEST(CpuIdentityTest, ScriptedTimeGatesMatchPinnedOutputs)
             }
         }
     }
+}
+
+TEST(CpuIdentityTest, WakeUpEdgeCasesMatchPinnedOutputs)
+{
+    struct Scripted
+    {
+        const char *name;
+        std::vector<Instruction> script;
+        CpuParams cpu;
+    };
+    std::vector<Scripted> cases;
+
+    // Zero-latency producers: each wakes its consumers in the cycle it
+    // issues, one of them 63-69 slots younger (another 64-slot word of
+    // the window, for most alignments).
+    {
+        Scripted s{"zero_latency_wake", {}, CpuParams::eightWay()};
+        for (int g = 0; g < 24; ++g) {
+            const std::uint16_t filler = 61 + g % 7;
+            s.script.push_back(load(missAddr(g)));
+            s.script.push_back(alu(1, 0)); // the producer
+            s.script.push_back(alu(1, 0)); // a same-word consumer
+            for (int k = 0; k < filler; ++k)
+                s.script.push_back(alu(0));
+            s.script.push_back(alu(filler + 2, 0));
+            s.script.push_back(alu(1, 0, 1));
+            s.script.push_back(alu(filler + 4, 1));
+        }
+        cases.push_back(s);
+    }
+    // One producer named twice (dep1 == dep2), on loads and ALU ops.
+    {
+        Scripted s{"same_dep_twice", {}, CpuParams::fourWay()};
+        for (int g = 0; g < 32; ++g) {
+            s.script.push_back(load(missAddr(g)));
+            s.script.push_back(alu(1, 1, 1));
+            s.script.push_back(alu(1, 0, 1));
+            Instruction ld = load(missAddr(g) + 64, 1);
+            ld.dep2 = 1;
+            s.script.push_back(ld);
+            s.script.push_back(alu(2, 3, 2));
+        }
+        cases.push_back(s);
+    }
+    // A missing load with 20 consumers: more wake at once than issue.
+    {
+        Scripted s{"load_fanout", {}, CpuParams::eightWay()};
+        for (int g = 0; g < 16; ++g) {
+            s.script.push_back(load(missAddr(g)));
+            for (std::uint16_t k = 1; k <= 20; ++k)
+                s.script.push_back(alu(k, k % 3));
+            s.script.push_back(alu(5, 1, 10));
+        }
+        cases.push_back(s);
+    }
+    // An older load blocked on the MSHRs while younger ready ALU ops
+    // fill the issue width.
+    {
+        Scripted s{"mshr_blocked", {}, CpuParams::fourWay()};
+        s.cpu.mshrs = 2;
+        for (int g = 0; g < 16; ++g) {
+            for (int k = 0; k < 3; ++k)
+                s.script.push_back(load(missAddr(3 * g + k)));
+            for (int k = 0; k < 10; ++k)
+                s.script.push_back(alu(0));
+            s.script.push_back(alu(11, 2, 12));
+        }
+        cases.push_back(s);
+    }
+    // Consumers of stores, which complete one cycle after issue.
+    {
+        Scripted s{"store_consumer", {}, CpuParams::fourWay()};
+        for (int g = 0; g < 32; ++g) {
+            s.script.push_back(load(missAddr(g)));
+            s.script.push_back(store(0x2000 + 32 * (g % 8), 1));
+            s.script.push_back(alu(1, 1));
+            s.script.push_back(alu(2, 0));
+            s.script.push_back(load(0x3000 + 32 * (g % 4), 3));
+            s.script.push_back(store(missAddr(g) + 128));
+            s.script.push_back(alu(1, 1));
+        }
+        cases.push_back(s);
+    }
+    // A window that is not a power of two, under a fan-out.
+    {
+        Scripted s{"window_48", {}, CpuParams::eightWay()};
+        s.cpu.window_size = 48;
+        for (int g = 0; g < 16; ++g) {
+            s.script.push_back(load(missAddr(g)));
+            for (std::uint16_t k = 1; k <= 30; ++k)
+                s.script.push_back(alu(k, k % 4, k % 5 ? 0 : 2));
+            s.script.push_back(alu(31, 0));
+        }
+        cases.push_back(s);
+    }
+
+    for (const Scripted &s : cases) {
+        for (Model model : {Model::Ooo, Model::Cycle}) {
+            for (const char *config : {"", "Perfect"}) {
+                std::string name = modelName(model) + ":" + s.name + ":" +
+                                   (*config ? config : "none");
+                ScriptedWorkload w(s.script);
+                checkCase(name, model, tinyParams(), s.cpu, config, w,
+                          {1, 3000, 777});
+            }
+        }
+    }
+}
+
+TEST(CpuIdentityTest, RandomScriptsMatchPinnedOutputs)
+{
+    // 24 seeded scripts of 3k random instructions: every class,
+    // dependence distances 0-600, latencies 0-6, random mispredicts,
+    // on three machines (8-way, 4-way, 8-way with a 48-entry window).
+    // One digest per model and MNM config covers all 24.
+    for (Model model : {Model::Ooo, Model::Cycle}) {
+        for (const char *config : {"", "Perfect"}) {
+            std::vector<std::uint64_t> counters;
+            Cycles total_cycles = 0;
+            for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+                std::uint64_t state = seed;
+                auto pick = [&](std::uint64_t n) {
+                    return splitmix(state) % n;
+                };
+                auto dep = [&](std::uint64_t zero_pct) -> std::uint16_t {
+                    const std::uint64_t r = pick(100);
+                    if (r < zero_pct)
+                        return 0;
+                    if (r < 80)
+                        return static_cast<std::uint16_t>(1 + pick(8));
+                    return static_cast<std::uint16_t>(pick(601));
+                };
+                std::vector<Instruction> script(3000);
+                for (std::size_t i = 0; i < script.size(); ++i) {
+                    Instruction &inst = script[i];
+                    const std::uint64_t r = pick(100);
+                    inst.cls = r < 25   ? InstClass::Load
+                               : r < 35 ? InstClass::Store
+                               : r < 50 ? InstClass::Branch
+                               : r < 60 ? InstClass::FpAlu
+                                        : InstClass::IntAlu;
+                    inst.pc = 0x1000 + 4 * (i % 512);
+                    inst.dep1 = dep(30);
+                    inst.dep2 = dep(60);
+                    inst.exec_latency = static_cast<std::uint8_t>(pick(7));
+                    inst.mispredicted = inst.isBranch() && pick(8) == 0;
+                    if (inst.isMem()) {
+                        inst.mem_addr = pick(3) == 0
+                                            ? missAddr(pick(1024))
+                                            : 0x2000 + 32 * pick(64);
+                    }
+                }
+                CpuParams cpu = seed % 3 == 1 ? CpuParams::eightWay()
+                                              : CpuParams::fourWay();
+                if (seed % 3 == 0) {
+                    cpu = CpuParams::eightWay();
+                    cpu.window_size = 48;
+                    cpu.lsq_size = 24;
+                    cpu.mshrs = 4;
+                }
+                ScriptedWorkload w(script);
+                Cycles cycles = 0;
+                std::vector<std::uint64_t> one = runModel(
+                    model, tinyParams(), cpu, config, w, {3000}, cycles);
+                counters.insert(counters.end(), one.begin(), one.end());
+                total_cycles += cycles;
+            }
+            expectPinned(modelName(model) + ":random24:" +
+                             (*config ? config : "none"),
+                         total_cycles, counters);
+        }
+    }
+}
+
+TEST(CpuIdentityTest, FarDependencesNeverGateIssue)
+{
+    // A producer d >= window_size instructions older has committed
+    // before its consumer dispatches, so it cannot delay it: both cores
+    // must finish, and for such d run exactly as with no dependence.
+    // Distances at and past the old 1024-entry completion ring once
+    // hung the cycle core or read a younger instruction's slot.
+    auto script = [](std::uint16_t d) {
+        std::vector<Instruction> s;
+        for (int g = 0; g < 40; ++g) {
+            s.push_back(load(missAddr(g % 16), d));
+            s.push_back(alu(d, 2));
+            s.push_back(alu(1, 0, d));
+            Instruction br = alu(d);
+            br.cls = InstClass::Branch;
+            br.mispredicted = g % 5 == 0;
+            s.push_back(br);
+            s.push_back(store(0x2000 + 32 * (g % 8), d));
+        }
+        return s;
+    };
+    const CpuParams cpu = CpuParams::eightWay();
+    const std::uint16_t w = static_cast<std::uint16_t>(cpu.window_size);
+    auto stats = [&](Model model, std::uint16_t d) {
+        ScriptedWorkload workload(script(d));
+        Cycles cycles = 0;
+        std::vector<std::uint64_t> out = runModel(
+            model, tinyParams(), cpu, "", workload, {6000, 777}, cycles);
+        // The CpuRunStats of both runs; the caches and the trailing
+        // record follow.
+        out.resize(18);
+        return out;
+    };
+    armCellDeadline(30.0);
+    for (Model model : {Model::Ooo, Model::Cycle}) {
+        const std::vector<std::uint64_t> independent = stats(model, 0);
+        for (std::uint16_t d : {std::uint16_t(w - 1), w,
+                                std::uint16_t(1000), std::uint16_t(1023),
+                                std::uint16_t(1024), std::uint16_t(1025),
+                                std::uint16_t(2048), std::uint16_t(4096)}) {
+            std::vector<std::uint64_t> far;
+            EXPECT_NO_THROW(far = stats(model, d))
+                << modelName(model) << " d=" << d;
+            if (d >= w) {
+                EXPECT_EQ(far, independent)
+                    << modelName(model) << " d=" << d;
+            }
+        }
+    }
+    disarmCellDeadline();
 }
 
 } // anonymous namespace
