@@ -138,23 +138,13 @@ class MnmUnit : public CacheEventListener
     /** Whether @p type's plan has any oracle-guarded step. Guard-free
      *  verdicts are pure data with no per-verdict statistics, so a
      *  caller that can prove a verdict will go unread (the access hits
-     *  before the first planned level) may skip producing it -- after
-     *  noteLookup() for the per-access bookkeeping. */
+     *  its level-1 cache, before the first planned level) may skip
+     *  producing it -- and calls noteL1Hit() instead. */
     bool
     planGuarded(AccessType type) const
     {
         return type == AccessType::InstFetch ? instr_guards_
                                              : data_guards_;
-    }
-
-    /** The per-access bookkeeping finishBypass performs, for accesses
-     *  whose verdict is provably unread. Keeping the counts identical
-     *  to the verdict path keeps every backend's outputs identical. */
-    void
-    noteLookup()
-    {
-        ++lookups_;
-        rmnm_burst_charged_ = false;
     }
 
     /** Hint the filter-table lines a future computeCandidates for
@@ -189,6 +179,24 @@ class MnmUnit : public CacheEventListener
      * @return extra latency (cycles) the MNM adds to this access.
      */
     Cycles applyPlacementCosts(const AccessResult &result);
+
+    /**
+     * What an access that hits its level-1 cache costs the MNM under a
+     * guard-free plan, with no verdict computed: the per-access
+     * bookkeeping finishBypass() performs, plus the lookup charge
+     * applyPlacementCosts() makes on an L1 hit -- only Parallel
+     * placement probes the structures alongside L1, and the perfect
+     * oracle is free. Both simulators' L1-first paths call this, so
+     * their counts match the verdict path's exactly.
+     */
+    void
+    noteL1Hit()
+    {
+        ++lookups_;
+        rmnm_burst_charged_ = false; // new access: new RMNM update burst
+        if (!spec_.perfect && spec_.placement == MnmPlacement::Parallel)
+            chargeLookup();
+    }
 
     /** CacheEventListener interface (the bookkeeping feed). The
      *  per-event virtuals are the reference path; the hierarchy's

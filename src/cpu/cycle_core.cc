@@ -25,7 +25,7 @@ constexpr std::uint32_t no_link = ~std::uint32_t{0};
 
 CycleOooCore::CycleOooCore(const CpuParams &params,
                            CacheHierarchy &hierarchy, MnmUnit *mnm)
-    : params_(params), hierarchy_(hierarchy), mnm_(mnm)
+    : params_(params), hierarchy_(hierarchy), port_(hierarchy, mnm)
 {
     if (params_.fetch_width == 0 || params_.issue_width == 0 ||
         params_.commit_width == 0) {
@@ -40,15 +40,7 @@ CycleOooCore::CycleOooCore(const CpuParams &params,
 Cycles
 CycleOooCore::memAccess(AccessType type, Addr addr, CpuRunStats &stats)
 {
-    BypassMask mask;
-    if (mnm_)
-        mask = mnm_->computeBypass(type, addr);
-    AccessResult result = hierarchy_.access(type, addr, mask);
-    Cycles latency = result.latency;
-    if (mnm_) {
-        coverage_.record(result);
-        latency += mnm_->applyPlacementCosts(result);
-    }
+    const Cycles latency = port_.access(type, addr);
     stats.data_access_cycles += latency;
     ++stats.data_accesses;
     return latency;

@@ -32,10 +32,11 @@
  *
  * The two models are cross-validated in tests/cycle_core_test.cc: they
  * must agree on throughput bounds, and rank machine configurations the
- * same way. The benches use OooCore, which costs ~200-250 ns of host
- * time per simulated instruction against this model's ~350-420 ns
- * (1.7x; perfbench timing_cores, traced, on a 4-vCPU x86-64 VM); this
- * model is the reference.
+ * same way. fig15 and table2 run OooCore, which costs ~185-215 ns of
+ * host time per simulated instruction against this model's ~340-390 ns
+ * (1.8x; perfbench timing_cores, traced, on a 4-vCPU x86-64 VM);
+ * abl_cpu_models runs both, and this model is the reference. Both
+ * reach memory through the same port (cpu/mem_port.hh).
  */
 
 #ifndef MNM_CPU_CYCLE_CORE_HH
@@ -61,7 +62,7 @@ class CycleOooCore
     CpuRunStats run(WorkloadGenerator &workload, std::uint64_t count);
 
     /** Coverage accumulated across run() calls (when an MNM is set). */
-    const CoverageTracker &coverage() const { return coverage_; }
+    const CoverageTracker &coverage() const { return port_.coverage(); }
 
   private:
     /** One RUU entry; instruction seq lives in slot seq & (size - 1). */
@@ -86,12 +87,12 @@ class CycleOooCore
         std::uint32_t slot;
     };
 
+    /** An access through port_, counted in @p stats. */
     Cycles memAccess(AccessType type, Addr addr, CpuRunStats &stats);
 
     CpuParams params_;
     CacheHierarchy &hierarchy_;
-    MnmUnit *mnm_;
-    CoverageTracker coverage_;
+    MemPort port_;
     /** The refill buffer: allocated by the first run(), reused by
      *  every later one, as are the structures below. All but
      *  mshr_free_ (cleared as a run starts) are empty again whenever a

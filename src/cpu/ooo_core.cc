@@ -39,7 +39,7 @@ CpuParams::eightWay()
 
 OooCore::OooCore(const CpuParams &params, CacheHierarchy &hierarchy,
                  MnmUnit *mnm)
-    : params_(params), hierarchy_(hierarchy), mnm_(mnm)
+    : params_(params), hierarchy_(hierarchy), port_(hierarchy, mnm)
 {
     if (params_.fetch_width == 0 || params_.issue_width == 0 ||
         params_.commit_width == 0) {
@@ -49,21 +49,6 @@ OooCore::OooCore(const CpuParams &params, CacheHierarchy &hierarchy,
         params_.mshrs == 0) {
         fatal("core with zero window/LSQ/MSHR resources");
     }
-}
-
-Cycles
-OooCore::memAccess(AccessType type, Addr addr)
-{
-    BypassMask mask;
-    if (mnm_)
-        mask = mnm_->computeBypass(type, addr);
-    AccessResult result = hierarchy_.access(type, addr, mask);
-    Cycles latency = result.latency;
-    if (mnm_) {
-        coverage_.record(result);
-        latency += mnm_->applyPlacementCosts(result);
-    }
-    return latency;
 }
 
 CpuRunStats
@@ -115,7 +100,7 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
             if (line != cur_fetch_line) {
                 cur_fetch_line = line;
                 ++stats.fetch_line_accesses;
-                Cycles lat = memAccess(AccessType::InstFetch, inst.pc);
+                Cycles lat = port_.access(AccessType::InstFetch, inst.pc);
                 stats.data_access_cycles += lat;
                 ++stats.data_accesses;
                 // The L1-hit latency is pipelined away; anything beyond it
@@ -168,7 +153,7 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                 AccessType type = inst.cls == InstClass::Load
                                       ? AccessType::Load
                                       : AccessType::Store;
-                Cycles lat = memAccess(type, inst.mem_addr);
+                Cycles lat = port_.access(type, inst.mem_addr);
                 stats.data_access_cycles += lat;
                 ++stats.data_accesses;
                 double mem_done = issue_t + static_cast<double>(lat);

@@ -15,9 +15,10 @@
  *    (issue_width/cycle); loads/stores additionally acquire one of a
  *    finite set of MSHRs (bounding memory-level parallelism) and a
  *    load/store-queue slot;
- *  - memory: latency comes from the cache hierarchy (so MNM bypasses
- *    shorten load critical paths directly); stores retire through a
- *    store buffer and do not stall commit;
+ *  - memory: latency comes from the cache hierarchy through the
+ *    memory port (cpu/mem_port.hh), so MNM bypasses shorten load
+ *    critical paths directly; stores retire through a store buffer and
+ *    do not stall commit;
  *  - commit: in order, bandwidth-limited (commit_width/cycle).
  *
  * Bandwidth limits are modelled with fractional-cycle availability
@@ -37,6 +38,7 @@
 #include "cache/hierarchy.hh"
 #include "core/coverage.hh"
 #include "core/mnm_unit.hh"
+#include "cpu/mem_port.hh"
 #include "trace/workload.hh"
 #include "util/types.hh"
 
@@ -74,7 +76,8 @@ struct CpuRunStats
     std::uint64_t branches = 0;
     std::uint64_t mispredicts = 0;
     std::uint64_t fetch_line_accesses = 0;
-    /** Sum / count of data-access latencies (the paper's metric). */
+    /** Sum / count of memory-access latencies (the paper's metric),
+     *  fetch-line accesses included. */
     Cycles data_access_cycles = 0;
     std::uint64_t data_accesses = 0;
 
@@ -99,10 +102,11 @@ class OooCore
     /**
      * @param params    core resources
      * @param hierarchy the memory system (must outlive the core)
-     * @param mnm       optional MNM; bypass masks are applied to every
-     *                  fetch and data access (parallel placement adds no
-     *                  latency, serial placement adds the MNM delay to
-     *                  L1-missing accesses and charges energy then)
+     * @param mnm       optional MNM; its verdicts apply to every fetch
+     *                  and data access that misses L1 (parallel
+     *                  placement adds no latency, serial placement adds
+     *                  the MNM delay to L1-missing accesses and charges
+     *                  energy then)
      */
     OooCore(const CpuParams &params, CacheHierarchy &hierarchy,
             MnmUnit *mnm = nullptr);
@@ -111,16 +115,12 @@ class OooCore
     CpuRunStats run(WorkloadGenerator &workload, std::uint64_t count);
 
     /** Coverage accumulated across run() calls (when an MNM is set). */
-    const CoverageTracker &coverage() const { return coverage_; }
+    const CoverageTracker &coverage() const { return port_.coverage(); }
 
   private:
-    /** Access memory via the MNM + hierarchy; returns request latency. */
-    Cycles memAccess(AccessType type, Addr addr);
-
     CpuParams params_;
     CacheHierarchy &hierarchy_;
-    MnmUnit *mnm_;
-    CoverageTracker coverage_;
+    MemPort port_;
     /** The refill buffer: allocated by the first run(), reused by
      *  every later one. */
     std::unique_ptr<InstructionBatch> batch_;

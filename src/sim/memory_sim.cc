@@ -177,11 +177,6 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
         const CacheId l1d_id = hierarchy_.path(AccessType::Load)[0];
         const Cycles l1i_hit_latency = l1i.params().hit_latency;
         const Cycles l1d_hit_latency = l1d.params().hit_latency;
-        // applyPlacementCosts() on an L1 hit: Parallel charges its
-        // always-on lookup, Serial and Distributed add nothing.
-        const bool charge_parallel =
-            !mnm_->spec().perfect &&
-            mnm_->spec().placement == MnmPlacement::Parallel;
 
         // Lane queue: an L1 miss is *queued* instead of walked on the
         // spot, and queued lanes descend together in descendLanes().
@@ -192,8 +187,8 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
         //    own set -- so a pending-set bitmap per L1 structure guards
         //    every L1 probe, and a collision flushes the queue first.
         //  - Hit lanes between enqueue and flush touch only integer
-        //    counters (noteLookup/chargeLookup/stats; the burst flag is
-        //    re-reset by every access before use), all order-exact.
+        //    counters (noteL1Hit/stats; the burst flag is re-reset by
+        //    every access before use), all order-exact.
         //  - Verdicts and L2+ state move only inside the flush, lane by
         //    lane in request order -- each verdict sees every prior
         //    lane's fills and feed updates, exactly as sequentially.
@@ -291,9 +286,7 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
                 }
             }
             if (hit) {
-                mnm_->noteLookup();
-                if (charge_parallel)
-                    mnm_->chargeLookup();
+                mnm_->noteL1Hit();
                 continue;
             }
             if (use_lanes) {

@@ -15,6 +15,21 @@ namespace
 constexpr Addr data_base = 0x40000000ull;
 constexpr Addr region_spacing = 64ull * 1024 * 1024;
 
+/** The table Rng::nextGeometric(@p mean) would use; null for a mean
+ *  <= 0, which draws nothing. */
+const GeometricTable *
+geometricTable(double mean)
+{
+    return mean <= 0.0 ? nullptr : GeometricTable::forMean(mean);
+}
+
+/** Rng::nextGeometric() against a table bound by geometricTable(). */
+std::uint64_t
+geometric(Rng &rng, const GeometricTable *table)
+{
+    return table ? table->sample(rng.next() >> 11) : 0;
+}
+
 } // anonymous namespace
 
 SyntheticWorkload::SyntheticWorkload(const SyntheticParams &params)
@@ -45,8 +60,12 @@ SyntheticWorkload::SyntheticWorkload(const SyntheticParams &params)
         region_fast_.push_back(rf);
     }
     temporal_thr_ = Rng::boolThreshold(params_.temporal_reuse);
-    if (params_.dep_dist_mean > 0.0)
-        dep_table_ = GeometricTable::forMean(params_.dep_dist_mean);
+    dep_table_ = geometricTable(params_.dep_dist_mean);
+    body_table_ = geometricTable(
+        static_cast<double>(params_.loop_body_bytes_mean) / 16.0);
+    iters_table_ = geometricTable(params_.loop_iterations_mean);
+    for (const RegionParams &r : params_.regions)
+        dwell_tables_.push_back(geometricTable(r.dwell));
     if (total_weight_ <= 0.0)
         fatal("synthetic workload '%s': zero total region weight",
               params_.name.c_str());
@@ -80,10 +99,7 @@ SyntheticWorkload::startLoop(Rng &rng)
 {
     // Pick a loop body somewhere in the text and a repeat count. Loop
     // bodies are 16-byte aligned; sizes are geometric around the mean.
-    std::uint64_t body =
-        16 + 16 * rng.nextGeometric(
-                      static_cast<double>(params_.loop_body_bytes_mean) /
-                      16.0);
+    std::uint64_t body = 16 + 16 * geometric(rng, body_table_);
     if (body > params_.code_footprint_bytes)
         body = params_.code_footprint_bytes;
     std::uint64_t span = params_.code_footprint_bytes - body;
@@ -91,7 +107,7 @@ SyntheticWorkload::startLoop(Rng &rng)
         code_base_ + (span ? (rng.nextBelow(span) & ~15ull) : 0);
     loop_start_ = start;
     loop_bytes_ = body;
-    loop_iters_left_ = 1 + rng.nextGeometric(params_.loop_iterations_mean);
+    loop_iters_left_ = 1 + geometric(rng, iters_table_);
     pc_ = loop_start_;
 }
 
@@ -117,8 +133,7 @@ SyntheticWorkload::dataAddress(Rng &rng)
             }
             draw -= params_.regions[i].weight;
         }
-        dwell_left_ =
-            1 + rng.nextGeometric(params_.regions[active_region_].dwell);
+        dwell_left_ = 1 + geometric(rng, dwell_tables_[active_region_]);
     }
     --dwell_left_;
 

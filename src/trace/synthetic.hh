@@ -149,10 +149,14 @@ class SyntheticWorkload : public WorkloadGenerator
     /** boolThreshold(temporal_reuse): integer form of the per-data-op
      *  reuse draw (see Rng::boolThreshold; same stream). */
     std::uint64_t temporal_thr_ = 0;
-    /** The dependence-distance table, bound once here: forMean() takes
-     *  a global lock, and generateLoop() runs once per next() call.
-     *  Null when dep_dist_mean <= 0 (no dependences). */
-    const GeometricTable *dep_table_ = nullptr;
+    /** The geometric tables, bound once here: forMean() takes a global
+     *  lock, and their means alternate every loop and region switch.
+     *  Each is null when its mean is <= 0: that draw is always 0 and
+     *  consumes no randomness (Rng::nextGeometric's rule). */
+    const GeometricTable *dep_table_ = nullptr;   //!< dependence distance
+    const GeometricTable *body_table_ = nullptr;  //!< loop body, 16B units
+    const GeometricTable *iters_table_ = nullptr; //!< loop iterations
+    std::vector<const GeometricTable *> dwell_tables_; //!< per region
 
     /** Current region and remaining dwell. */
     std::size_t active_region_ = 0;

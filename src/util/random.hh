@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "util/logging.hh"
@@ -163,21 +162,19 @@ class Rng
     }
 
     /**
-     * Draw from a (clamped) geometric distribution with mean ~@p mean.
-     * Used for dependency distances and region dwell times. Evaluated
-     * through the shared GeometricTable for the mean, which reproduces
-     * the inverse-CDF formula bit-for-bit without its per-draw log1p.
+     * Draw from a (clamped) geometric distribution with mean ~@p mean;
+     * a mean <= 0 yields 0 and draws nothing. Evaluated through the
+     * shared GeometricTable for the mean, which reproduces the
+     * inverse-CDF formula bit-for-bit without its per-draw log1p. The
+     * lookup takes forMean()'s lock, so hot callers bind their tables
+     * once and sample them directly (SyntheticWorkload does).
      */
     std::uint64_t nextGeometric(double mean)
     {
         if (mean <= 0.0)
             return 0;
         std::uint64_t m = next() >> 11;
-        if (mean != geo_mean_) {
-            geo_mean_ = mean;
-            geo_table_ = GeometricTable::forMean(mean);
-        }
-        return geo_table_->sample(m);
+        return GeometricTable::forMean(mean)->sample(m);
     }
 
     /** Standard-normal variate (Box-Muller). */
@@ -193,10 +190,6 @@ class Rng
     }
 
     std::uint64_t s_[4];
-    /** nextGeometric()'s memoized table binding for the current mean.
-     *  NaN compares unequal to everything, forcing the first fill. */
-    double geo_mean_ = std::numeric_limits<double>::quiet_NaN();
-    const GeometricTable *geo_table_ = nullptr;
 };
 
 } // namespace mnm

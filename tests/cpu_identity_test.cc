@@ -24,16 +24,23 @@
  * ready ALU ops, consumers of stores, a window that is not a power of
  * two); and 24 seeded random scripts. The wake-up and random digests
  * were recorded from the scan-based issue stage that the wake-up lists
- * replaced. A last test checks that producers a window or more back,
- * out to distance 4096, never delay issue in either core.
+ * replaced. The "mnm" cases also fold in the MnmUnit's lookups,
+ * violations (total and per level) and consumed energy, under Serial
+ * and Distributed HMNM4, the guarded PaperReset CMNM and oracle-checked
+ * HMNM4, Perfect and no MNM; they were recorded from the cores that
+ * computed a verdict before every access. A last test checks that
+ * producers a window or more back, out to distance 4096, never delay
+ * issue in either core.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/presets.hh"
@@ -166,6 +173,30 @@ pinned()
         {"ooo:random24:Perfect", {320645u, 0x499a0b6b25a344d4ull}},
         {"cycle:random24:none", {353631u, 0xa8e2e56e7c435a9eull}},
         {"cycle:random24:Perfect", {330450u, 0xfa6f20479787a1dfull}},
+        {"ooo:mnm:164.gzip:HMNM4-serial", {63843u, 0xd023057441fae6aeull}},
+        {"cycle:mnm:164.gzip:HMNM4-serial", {60808u, 0x7200479b3679f36aull}},
+        {"ooo:mnm:164.gzip:HMNM4-dist", {65311u, 0xf33f5e43e2d2b2c9ull}},
+        {"cycle:mnm:164.gzip:HMNM4-dist", {62164u, 0x09cd6a9021e64d70ull}},
+        {"ooo:mnm:164.gzip:CMNM-reset", {62083u, 0x2a762ce343563a97ull}},
+        {"cycle:mnm:164.gzip:CMNM-reset", {59307u, 0xf079ee32d2aed29aull}},
+        {"ooo:mnm:164.gzip:HMNM4-oracle", {63132u, 0xc728dbd957b41ddfull}},
+        {"cycle:mnm:164.gzip:HMNM4-oracle", {60174u, 0xb5fec18b8527d5faull}},
+        {"ooo:mnm:164.gzip:Perfect", {62005u, 0xc437348f83f2d5f7ull}},
+        {"cycle:mnm:164.gzip:Perfect", {59229u, 0xea52efb842c06cd7ull}},
+        {"ooo:mnm:164.gzip:none", {86402u, 0xe73d342d2fcda065ull}},
+        {"cycle:mnm:164.gzip:none", {82417u, 0xc42ad22f7d4cd461ull}},
+        {"ooo:mnm:181.mcf:HMNM4-serial", {262625u, 0x62d7a427bc93fdb8ull}},
+        {"cycle:mnm:181.mcf:HMNM4-serial", {244213u, 0x68ba598019dff58dull}},
+        {"ooo:mnm:181.mcf:HMNM4-dist", {267308u, 0x67009d6bff87ad47ull}},
+        {"cycle:mnm:181.mcf:HMNM4-dist", {248566u, 0x32eaa25aee452c79ull}},
+        {"ooo:mnm:181.mcf:CMNM-reset", {316320u, 0x8d158e24c09226aeull}},
+        {"cycle:mnm:181.mcf:CMNM-reset", {297109u, 0xc7732d20719353b2ull}},
+        {"ooo:mnm:181.mcf:HMNM4-oracle", {260987u, 0x7f99908119e4c5eeull}},
+        {"cycle:mnm:181.mcf:HMNM4-oracle", {242701u, 0x632b6c95ae55e93dull}},
+        {"ooo:mnm:181.mcf:Perfect", {243321u, 0x68c619fe7bcaaa62ull}},
+        {"cycle:mnm:181.mcf:Perfect", {226989u, 0x9fa1f5eb8075be28ull}},
+        {"ooo:mnm:181.mcf:none", {340939u, 0x25fe0fb88612e81dull}},
+        {"cycle:mnm:181.mcf:none", {317881u, 0x05be1f160d81a341ull}},
     };
     return table;
 }
@@ -205,13 +236,14 @@ enum class Model
 template <typename Core>
 std::vector<std::uint64_t>
 runCore(const HierarchyParams &hp, const CpuParams &cp,
-        const std::string &config, WorkloadGenerator &workload,
-        const std::vector<std::uint64_t> &runs, Cycles &last_cycles)
+        const MnmSpec *spec, WorkloadGenerator &workload,
+        const std::vector<std::uint64_t> &runs, Cycles &last_cycles,
+        bool fold_mnm)
 {
     CacheHierarchy hierarchy(hp);
     std::unique_ptr<MnmUnit> mnm;
-    if (!config.empty())
-        mnm = std::make_unique<MnmUnit>(mnmSpecByName(config), hierarchy);
+    if (spec)
+        mnm = std::make_unique<MnmUnit>(*spec, hierarchy);
     Core core(cp, hierarchy, mnm.get());
 
     std::vector<std::uint64_t> out;
@@ -233,6 +265,12 @@ runCore(const HierarchyParams &hp, const CpuParams &cp,
                        {cov.identifiedAt(l), cov.unidentifiedAt(l)});
         }
     }
+    if (mnm && fold_mnm) {
+        out.insert(out.end(), {mnm->lookups(), mnm->soundnessViolations()});
+        for (std::uint32_t l = 1; l <= hierarchy.levels(); ++l)
+            out.push_back(mnm->violationsAtLevel(l));
+        out.push_back(std::bit_cast<std::uint64_t>(mnm->consumedEnergyPj()));
+    }
     Instruction after;
     workload.next(after);
     out.insert(out.end(),
@@ -241,17 +279,35 @@ runCore(const HierarchyParams &hp, const CpuParams &cp,
     return out;
 }
 
-/** Runs one case on @p model; see runCore(). */
+/** Runs one case on @p model under @p spec (none when null); see
+ *  runCore(). */
+std::vector<std::uint64_t>
+runModel(Model model, const HierarchyParams &hp, const CpuParams &cp,
+         const MnmSpec *spec, WorkloadGenerator &workload,
+         const std::vector<std::uint64_t> &runs, Cycles &last_cycles,
+         bool fold_mnm)
+{
+    return model == Model::Ooo
+               ? runCore<OooCore>(hp, cp, spec, workload, runs,
+                                  last_cycles, fold_mnm)
+               : runCore<CycleOooCore>(hp, cp, spec, workload, runs,
+                                       last_cycles, fold_mnm);
+}
+
+/** runModel() for a preset @p config (none when empty), without the
+ *  MnmUnit's own counters. */
 std::vector<std::uint64_t>
 runModel(Model model, const HierarchyParams &hp, const CpuParams &cp,
          const std::string &config, WorkloadGenerator &workload,
          const std::vector<std::uint64_t> &runs, Cycles &last_cycles)
 {
-    return model == Model::Ooo
-               ? runCore<OooCore>(hp, cp, config, workload, runs,
-                                  last_cycles)
-               : runCore<CycleOooCore>(hp, cp, config, workload, runs,
-                                       last_cycles);
+    if (config.empty()) {
+        return runModel(model, hp, cp, nullptr, workload, runs,
+                        last_cycles, false);
+    }
+    const MnmSpec spec = mnmSpecByName(config);
+    return runModel(model, hp, cp, &spec, workload, runs, last_cycles,
+                    false);
 }
 
 /** Checks @p counters and @p cycles against the pinned entry @p name. */
@@ -668,6 +724,46 @@ TEST(CpuIdentityTest, RandomScriptsMatchPinnedOutputs)
             expectPinned(modelName(model) + ":random24:" +
                              (*config ? config : "none"),
                          total_cycles, counters);
+        }
+    }
+}
+
+TEST(CpuIdentityTest, MnmStateMatchesPinnedOutputs)
+{
+    // The MnmUnit's own counters -- verdicts computed, violations caught
+    // per level, energy consumed -- under every placement and both
+    // guarded plan kinds (an unsound filter, oracle checking), so a core
+    // that skips or reorders verdicts fails here even where the caches
+    // and timing come out right.
+    MnmSpec serial = mnmSpecByName("HMNM4");
+    serial.placement = MnmPlacement::Serial;
+    MnmSpec distributed = mnmSpecByName("HMNM4");
+    distributed.placement = MnmPlacement::Distributed;
+    MnmSpec paper_reset = makeUniformSpec(
+        CmnmSpec{4, 10, 3, CmnmMaskPolicy::PaperReset});
+    MnmSpec oracle = mnmSpecByName("HMNM4");
+    oracle.oracle_check = true;
+    const MnmSpec perfect = mnmSpecByName("Perfect");
+    const std::vector<std::pair<const char *, const MnmSpec *>> configs = {
+        {"HMNM4-serial", &serial},
+        {"HMNM4-dist", &distributed},
+        {"CMNM-reset", &paper_reset},
+        {"HMNM4-oracle", &oracle},
+        {"Perfect", &perfect},
+        {"none", nullptr},
+    };
+    for (const char *app : {"164.gzip", "181.mcf"}) {
+        for (const auto &[label, spec] : configs) {
+            for (Model model : {Model::Ooo, Model::Cycle}) {
+                const std::string name = modelName(model) + ":mnm:" + app +
+                                         ":" + label;
+                auto w = makeSpecWorkload(app);
+                Cycles cycles = 0;
+                std::vector<std::uint64_t> counters =
+                    runModel(model, paperHierarchy(5), paperCpu(5), spec,
+                             *w, {1000, 20000}, cycles, true);
+                expectPinned(name, cycles, counters);
+            }
         }
     }
 }

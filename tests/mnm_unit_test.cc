@@ -142,6 +142,47 @@ TEST(MnmUnitTest, ChargeLookupAccumulatesEnergy)
                 2 * mnm.lookupEnergyPerAccess(), 1e-12);
 }
 
+TEST(MnmUnitTest, NoteL1HitCostsWhatAVerdictOnAnL1HitCosts)
+{
+    // noteL1Hit() stands in for computeBypass() + applyPlacementCosts()
+    // on an access that hits L1: same lookup count, same energy, for
+    // every placement, perfect or not.
+    for (MnmPlacement placement :
+         {MnmPlacement::Parallel, MnmPlacement::Serial,
+          MnmPlacement::Distributed}) {
+        for (bool perfect : {false, true}) {
+            MnmSpec spec = perfect ? makePerfectSpec() : makeHmnmSpec(4);
+            spec.placement = placement;
+            CacheHierarchy verdict_h(threeLevelParams());
+            CacheHierarchy noted_h(threeLevelParams());
+            MnmUnit verdict(spec, verdict_h);
+            MnmUnit noted(spec, noted_h);
+            verdict_h.access(AccessType::Load, 0x1234);
+            noted_h.access(AccessType::Load, 0x1234);
+            const PicoJoules before = noted.consumedEnergyPj();
+
+            for (int i = 0; i < 3; ++i) {
+                BypassMask mask =
+                    verdict.computeBypass(AccessType::Load, 0x1234);
+                AccessResult result =
+                    verdict_h.access(AccessType::Load, 0x1234, mask);
+                ASSERT_EQ(result.supply_level, 1u);
+                EXPECT_EQ(verdict.applyPlacementCosts(result), 0u);
+                noted.noteL1Hit();
+            }
+            const int p = static_cast<int>(placement);
+            EXPECT_EQ(noted.lookups(), verdict.lookups())
+                << "placement " << p << " perfect " << perfect;
+            EXPECT_EQ(noted.consumedEnergyPj(), verdict.consumedEnergyPj())
+                << "placement " << p << " perfect " << perfect;
+            // Only a Parallel, non-perfect MNM pays for an L1 hit.
+            EXPECT_EQ(noted.consumedEnergyPj() > before,
+                      !perfect && placement == MnmPlacement::Parallel)
+                << "placement " << p << " perfect " << perfect;
+        }
+    }
+}
+
 TEST(MnmUnitTest, UpdatesAccrueEnergyViaListener)
 {
     CacheHierarchy h(threeLevelParams());
