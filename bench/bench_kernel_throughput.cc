@@ -1,8 +1,7 @@
 /**
  * @file
  * Simulation-kernel throughput: functional-mode instructions per second
- * for representative MNM configurations on the paper's 5-level machine,
- * with one cell per SIMD backend where the backend matters.
+ * for representative MNM configurations on the paper's 5-level machine.
  *
  * This bench measures the simulator, not the simulated machine: its
  * numbers are wall-clock dependent and NOT byte-stable across runs, so
@@ -13,14 +12,12 @@
  * against the committed BENCH_kernel.json baseline via
  * tools/extract_results.py --perf.
  *
- * Backends are reported under ROLE names, not ISA names: "off" (the
- * legacy per-access plan walk), "scalar-soa", and "native" (whatever
- * vector ISA this machine runs -- AVX2, NEON, or scalar-soa again when
- * neither exists; the summary records the resolution). Role names keep
- * one committed baseline comparable across recording and CI machines
- * with different ISAs.
+ * Schema v2 keys each cell by (config, backend). The backend key is
+ * "scalar-soa" -- the SoA verdict program, the one production verdict
+ * -- for filter configs and "n/a" for the bare hierarchy and the
+ * perfect oracle, which run no filter verdicts.
  *
- * Methodology: every (config, backend) cell owns one simulator; after
+ * Methodology: every cell owns one simulator; after
  * a warm-up run, the cell is measured in MNM_BENCH_ROUNDS consecutive
  * rounds of MNM_INSTRUCTIONS each and reports its best round (minimum
  * time). Rounds run back-to-back per cell -- interleaving cells would
@@ -52,7 +49,6 @@
 #include "sim/experiment.hh"
 #include "sim/memory_sim.hh"
 #include "trace/spec2000.hh"
-#include "util/cpu.hh"
 #include "util/logging.hh"
 
 using namespace mnm;
@@ -65,33 +61,23 @@ struct KernelConfig
 {
     const char *label;
     bool mnm_enabled;
-    /** Measure one cell per backend role? The bare hierarchy has no
-     *  verdicts at all and the perfect oracle's verdicts are cache
-     *  probes every backend serves with the same scalar pass, so both
-     *  report a single "n/a" cell. */
-    bool per_backend;
+    /** The cell's schema-v2 backend key. */
+    const char *backend_role;
 };
 
 constexpr KernelConfig kernel_configs[] = {
-    {"off", false, false},        //!< bare hierarchy: the kernel floor
-    {"RMNM_2048_4", true, true},  //!< shared replacement tracker only
-    {"TMNM_13x2", true, true},    //!< per-cache counting tables
-    {"HMNM4", true, true},        //!< the paper's widest hybrid (headline)
-    {"Perfect", true, false},     //!< oracle: contains(), no filters
+    {"off", false, "n/a"},              //!< bare hierarchy: the floor
+    {"RMNM_2048_4", true, "scalar-soa"}, //!< shared replacement tracker
+    {"TMNM_13x2", true, "scalar-soa"},   //!< per-cache counting tables
+    {"HMNM4", true, "scalar-soa"},       //!< widest hybrid (headline)
+    {"Perfect", true, "n/a"},            //!< oracle: contains(), no filters
 };
 
-/** Backend roles a per-backend config is measured under. */
-struct BackendRole
-{
-    const char *role;
-    SimdBackend backend;
-};
-
-/** One (config, backend) measurement cell and its live simulator. */
+/** One measurement cell and its live simulator. */
 struct Cell
 {
     std::string config;
-    std::string backend_role; //!< "off" / "scalar-soa" / "native" / "n/a"
+    std::string backend_role; //!< "scalar-soa" / "n/a"
     std::unique_ptr<MemorySimulator> sim;
     std::unique_ptr<WorkloadGenerator> workload;
     double best_instr_per_sec = 0.0;
@@ -163,33 +149,19 @@ main()
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     std::string app = opts.apps.empty() ? "164.gzip" : opts.apps.front();
     const std::uint64_t rounds = roundsFromEnv();
-    const SimdBackend native = nativeSimdBackend();
-
-    const BackendRole roles[] = {
-        {"off", SimdBackend::Off},
-        {"scalar-soa", SimdBackend::ScalarSoa},
-        {"native", native},
-    };
 
     std::vector<Cell> cells;
     for (const KernelConfig &config : kernel_configs) {
-        std::size_t num_roles =
-            config.per_backend ? std::size(roles) : 1;
-        for (std::size_t r = 0; r < num_roles; ++r) {
-            Cell cell;
-            cell.config = config.label;
-            cell.backend_role =
-                config.per_backend ? roles[r].role : "n/a";
-            std::optional<MnmSpec> spec;
-            if (config.mnm_enabled)
-                spec = mnmSpecByName(config.label);
-            cell.sim = std::make_unique<MemorySimulator>(
-                paperHierarchy(5), spec);
-            if (config.per_backend)
-                cell.sim->mnm()->setSimdBackend(roles[r].backend);
-            cell.workload = makeSpecWorkload(app);
-            cells.push_back(std::move(cell));
-        }
+        Cell cell;
+        cell.config = config.label;
+        cell.backend_role = config.backend_role;
+        std::optional<MnmSpec> spec;
+        if (config.mnm_enabled)
+            spec = mnmSpecByName(config.label);
+        cell.sim =
+            std::make_unique<MemorySimulator>(paperHierarchy(5), spec);
+        cell.workload = makeSpecWorkload(app);
+        cells.push_back(std::move(cell));
     }
 
     for (Cell &cell : cells) {
@@ -237,8 +209,6 @@ main()
         std::fprintf(f, "  \"rounds\": %llu,\n",
                      static_cast<unsigned long long>(rounds));
         std::fprintf(f, "  \"estimator\": \"best-of-rounds\",\n");
-        std::fprintf(f, "  \"native_backend\": \"%s\",\n",
-                     simdBackendName(native));
         std::fprintf(f, "  \"configs\": {\n");
         for (std::size_t i = 0; i < cells.size(); ++i) {
             bool open = i == 0 || cells[i].config != cells[i - 1].config;

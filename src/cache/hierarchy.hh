@@ -24,7 +24,7 @@
  * from the same plan. Placement/replacement notifications are batched
  * into a small per-access event ring drained through one
  * onEventBatch() call (see setBatchedFeed); the per-event virtual path
- * survives as the equivalence reference (MNM_REFERENCE_FEED=1).
+ * survives as the equivalence reference (MNM_REFERENCE=1).
  */
 
 #ifndef MNM_CACHE_HIERARCHY_HH
@@ -286,7 +286,7 @@ class CacheHierarchy
     /**
      * Deliver placement/replacement events through the per-access ring
      * and one onEventBatch() call instead of per-event virtuals. Off by
-     * default; MnmUnit switches it on (and MNM_REFERENCE_FEED=1
+     * default; MnmUnit switches it on (and MNM_REFERENCE=1
      * switches it back off for the byte-diff reference).
      */
     void setBatchedFeed(bool on) { batched_feed_ = on; }

@@ -84,10 +84,9 @@ MnmUnit::MnmUnit(const MnmSpec &spec, CacheHierarchy &hierarchy)
     }
 
     compilePlans();
-    backend_ = simdBackendFromEnv();
     hierarchy_.setListener(this);
     // Batched feed by default; setReferenceFeed(true) restores the
-    // per-event virtual path (MNM_REFERENCE_FEED=1).
+    // per-event virtual path (MNM_REFERENCE=1).
     hierarchy_.setBatchedFeed(true);
 }
 
@@ -244,8 +243,8 @@ MnmUnit::cacheVerdict(CacheId id, Addr addr) const
 BypassMask
 MnmUnit::computeBypass(AccessType type, Addr addr)
 {
-    if (reference_dispatch_ || backend_ == SimdBackend::Off)
-        return computeBypassLegacy(type, addr);
+    if (reference_dispatch_)
+        return computeBypassReference(type, addr);
     std::uint32_t cand;
     computeCandidates(type, &addr, &cand, 1);
     return finishBypass(type, addr, cand);
@@ -257,7 +256,7 @@ MnmUnit::computeCandidates(AccessType type, const Addr *addrs,
 {
     const bool instr = type == AccessType::InstFetch;
     const SoaProgram &program = instr ? soa_instr_ : soa_data_;
-    soaCompute(program, addrs, cand, n, backend_);
+    soaCompute(program, addrs, cand, n);
 }
 
 BypassMask
@@ -269,7 +268,7 @@ MnmUnit::finishBypass(AccessType type, Addr addr, std::uint32_t cand)
     if (!(instr ? instr_guards_ : data_guards_))
         return BypassMask(cand);
     // Oracle-guarded steps check the candidate against live cache
-    // contents at consumption time, exactly as the legacy walk does.
+    // contents at consumption time, exactly as the reference walk does.
     BypassMask mask;
     const std::vector<VerdictStep> &plan =
         instr ? instr_plan_ : data_plan_;
@@ -288,63 +287,10 @@ MnmUnit::finishBypass(AccessType type, Addr addr, std::uint32_t cand)
 }
 
 BypassMask
-MnmUnit::computeBypassLegacy(AccessType type, Addr addr)
+MnmUnit::computeBypassReference(AccessType type, Addr addr)
 {
     ++lookups_;
     rmnm_burst_charged_ = false; // new access: new RMNM update burst
-    if (reference_dispatch_)
-        return computeBypassReference(type, addr);
-
-    BypassMask mask;
-    const std::vector<VerdictStep> &plan =
-        type == AccessType::InstFetch ? instr_plan_ : data_plan_;
-    if (spec_.perfect) {
-        for (const VerdictStep &step : plan) {
-            if (!step.cache->contains(step.cache->blockAddr(addr)))
-                mask.set(step.id);
-        }
-        return mask;
-    }
-
-    // One RMNM probe answers every step: the plan's caches all test the
-    // same address, so hoist the entry lookup and keep only the
-    // per-cache bit test in the loop.
-    const std::uint32_t rmnm_bits = rmnm_ ? rmnm_->missBits(addr) : 0;
-    const FilterKernel *kernels = kernels_.data();
-    for (const VerdictStep &step : plan) {
-        const PerCache &pc = *step.pc;
-        bool miss = pc.rmnm_index >= 0 &&
-                    ((rmnm_bits >> pc.rmnm_index) & 1u);
-        if (!miss) {
-            BlockAddr block = step.cache->blockAddr(addr);
-            const FilterKernel *k = kernels + pc.kernel_first;
-            const FilterKernel *end = k + pc.kernel_count;
-            for (; k != end; ++k) {
-                if (kernelDefinitelyMiss(*k, block)) {
-                    miss = true;
-                    break;
-                }
-            }
-        }
-        if (!miss)
-            continue;
-        if (step.oracle_guard &&
-            step.cache->contains(step.cache->blockAddr(addr))) {
-            // The verdict was wrong: bypassing would have skipped a
-            // hit. Count it and suppress the bypass so the simulation
-            // stays architecturally correct.
-            ++violations_;
-            ++violations_at_[step.level];
-            continue;
-        }
-        mask.set(step.id);
-    }
-    return mask;
-}
-
-BypassMask
-MnmUnit::computeBypassReference(AccessType type, Addr addr)
-{
     BypassMask mask;
     for (CacheId id : hierarchy_.path(type)) {
         if (hierarchy_.levelOf(id) < 2)
@@ -472,7 +418,7 @@ void
 MnmUnit::onEventBatch(const CacheEvent *events, std::size_t n)
 {
     if (reference_dispatch_) {
-        // MNM_REFERENCE_KERNEL routes every update through the virtual
+        // MNM_REFERENCE=1 routes every update through the virtual
         // MissFilter interface; unbatch into the per-event listeners so
         // that contract holds for the ring too.
         CacheEventListener::onEventBatch(events, n);

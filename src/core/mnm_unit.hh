@@ -34,7 +34,6 @@
 #include "core/soa_state.hh"
 #include "core/update_plan.hh"
 #include "core/verdict_plan.hh"
-#include "util/cpu.hh"
 #include "util/types.hh"
 
 namespace mnm
@@ -103,13 +102,13 @@ class MnmUnit : public CacheEventListener
     /**
      * Produce the per-cache bypass verdicts for one access. Pure with
      * respect to filter state; verdict statistics are recorded.
-     * Dispatches through the compiled verdict plan by default, or the
-     * single-step virtual reference path under setReferenceDispatch().
+     * Runs the SoA verdict program by default, or the single-step
+     * virtual reference path under setReferenceDispatch().
      */
     BypassMask computeBypass(AccessType type, Addr addr);
 
     /**
-     * Batch verdict interface (the SoA/SIMD fast path; sim/memory_sim).
+     * Batch verdict interface (the SoA fast path; sim/memory_sim).
      *
      * computeCandidates() fills @p cand with one raw candidate mask per
      * address: the pre-guard "definite miss" bits the compiled plan
@@ -123,8 +122,8 @@ class MnmUnit : public CacheEventListener
      * finishBypass() then turns one candidate into the final verdict
      * exactly as computeBypass() would have: it performs the per-access
      * bookkeeping, applies oracle guards against live cache contents,
-     * and records violations. computeBypass(type, addr) is equivalent
-     * to computeCandidates(..1..) + finishBypass on every backend.
+     * and records violations. computeBypass(type, addr) is
+     * computeCandidates(..1..) + finishBypass.
      */
     void computeCandidates(AccessType type, const Addr *addrs,
                            std::uint32_t *cand, std::size_t n);
@@ -161,12 +160,6 @@ class MnmUnit : public CacheEventListener
     /** Monotone stamp of all verdict-relevant MNM state; candidates
      *  are valid only while it holds still. */
     std::uint64_t stateEpoch() const { return state_epoch_; }
-
-    /** Kernel backend behind computeBypass/computeCandidates. Defaults
-     *  to the MNM_SIMD environment knob (util/cpu.hh); Off preserves
-     *  the legacy per-access plan walk with no SoA programs. */
-    void setSimdBackend(SimdBackend backend) { backend_ = backend; }
-    SimdBackend simdBackend() const { return backend_; }
 
     /** Charge one structure probe (caller decides per placement). */
     void chargeLookup() { ++lookup_charges_; }
@@ -262,8 +255,8 @@ class MnmUnit : public CacheEventListener
 
     /**
      * Route the event feed through the per-event virtual listener path
-     * instead of the hierarchy's batched event ring (the
-     * MNM_REFERENCE_FEED=1 knob). Slow; exists so the batched update
+     * instead of the hierarchy's batched event ring (half of the
+     * MNM_REFERENCE=1 knob). Slow; exists so the batched update
      * kernels can be byte-diffed against the original feed.
      */
     void
@@ -339,9 +332,6 @@ class MnmUnit : public CacheEventListener
     /** The single-step reference walk computeBypass falls back to. */
     BypassMask computeBypassReference(AccessType type, Addr addr);
 
-    /** The legacy (MNM_SIMD=off) per-access plan walk. */
-    BypassMask computeBypassLegacy(AccessType type, Addr addr);
-
     /** Flatten the filter fan-out and the per-path walks into plans. */
     void compilePlans();
 
@@ -367,7 +357,7 @@ class MnmUnit : public CacheEventListener
     bool reference_dispatch_ = false;
     bool reference_feed_ = false;
 
-    /** SoA lowerings of the walk plans (batch/SIMD verdict path). */
+    /** SoA lowerings of the walk plans (the production verdict). */
     SoaProgram soa_instr_;
     SoaProgram soa_data_;
     /** Both paths traverse the same level >= 2 caches (the common
@@ -381,7 +371,6 @@ class MnmUnit : public CacheEventListener
     /** Bumped by every mutation verdicts can observe; starts at 1 so
      *  precomputed candidate spans are validated against a live value. */
     std::uint64_t state_epoch_ = 1;
-    SimdBackend backend_ = SimdBackend::Off;
 
     PicoJoules lookup_energy_pj_ = 0.0;
     /** RMNM write energy, charged once per access burst: the fill

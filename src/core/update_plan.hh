@@ -17,7 +17,7 @@
  * mutation the drain applies is visible to the next verdict batch by
  * construction. The virtual CacheEventListener path over the same
  * filter objects survives as the equivalence reference
- * (MNM_REFERENCE_FEED=1), which kernel_equivalence_test holds to
+ * (MNM_REFERENCE=1), which kernel_equivalence_test holds to
  * bit-identical results.
  */
 

@@ -1,19 +1,20 @@
 /**
  * @file
- * The devirtualized filter kernel used by the MnmUnit's verdict plan.
+ * The devirtualized filter kernel behind the MnmUnit's compiled plans.
  *
  * At construction the MnmUnit flattens every cache's
  * std::vector<std::unique_ptr<MissFilter>> fan-out into one contiguous
  * array of FilterKernel records: a type tag plus a pointer to the
- * concrete filter object. The hot paths (computeBypass and the
- * placement/replacement event feed) dispatch through a switch on the
- * tag and call the filters' non-virtual *Hot methods, which inline into
- * the simulators' inner loops; the virtual MissFilter interface on the
- * very same objects remains the cold-path surface (naming, power,
- * storage bits, anomaly counts, fault injection, tests).
+ * concrete filter object. The verdict side lowers these records into
+ * the SoA program (core/soa_state.hh); the placement/replacement event
+ * feed dispatches through a switch on the tag and calls the filters'
+ * non-virtual *Hot methods, which inline into the drain loop. The
+ * virtual MissFilter interface on the very same objects remains the
+ * reference and cold-path surface (naming, power, storage bits,
+ * anomaly counts, fault injection, tests).
  *
  * Both dispatch styles run the same member-function bodies, so the
- * plan is behaviourally identical to the virtual walk -- a property
+ * feed is behaviourally identical to the virtual walk -- a property
  * kernel_equivalence_test checks rather than assumes.
  */
 
@@ -51,28 +52,13 @@ filterKindOf(const FilterSpec &spec)
     return FilterKind::Cmnm;
 }
 
-/** One entry of the flat verdict plan: a type-tagged, non-owning view
+/** One entry of the flat filter plan: a type-tagged, non-owning view
  *  of a filter whose concrete type was pinned at plan-compile time. */
 struct FilterKernel
 {
     FilterKind kind;
     MissFilter *filter;
 };
-
-/** Hot-path lookup: is @p block definitely absent per this filter? */
-inline bool
-kernelDefinitelyMiss(const FilterKernel &k, BlockAddr block)
-{
-    switch (k.kind) {
-      case FilterKind::Smnm:
-        return static_cast<const Smnm *>(k.filter)->missHot(block);
-      case FilterKind::Tmnm:
-        return static_cast<const Tmnm *>(k.filter)->missHot(block);
-      case FilterKind::Cmnm:
-        return static_cast<const Cmnm *>(k.filter)->missHot(block);
-    }
-    panic("unreachable filter kind");
-}
 
 /** Hot-path event feed: @p block was placed into the attached cache. */
 inline void

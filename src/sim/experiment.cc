@@ -144,24 +144,18 @@ runFunctional(const HierarchyParams &hierarchy,
               std::uint64_t instructions)
 {
     MemorySimulator sim(hierarchy, mnm);
-    // CI escape hatch: run every cell through the single-step virtual
-    // reference kernel so stdout can be byte-diffed against the
-    // batched verdict-plan path.
-    static const bool reference_kernel = [] {
-        const char *env = std::getenv("MNM_REFERENCE_KERNEL");
+    // CI escape hatch: run every cell through the reference paths --
+    // the single-step loop with virtual verdict dispatch, and the
+    // per-event virtual update feed -- so stdout can be byte-diffed
+    // against the batched production path.
+    static const bool reference = [] {
+        const char *env = std::getenv("MNM_REFERENCE");
         return env && *env && *env != '0';
     }();
-    if (reference_kernel)
+    if (reference) {
         sim.setReferenceKernel(true);
-    // Same escape hatch for the update side: drive the MNM feed through
-    // the per-event virtual listeners instead of the batched event ring
-    // so stdout can be byte-diffed against the update-kernel path.
-    static const bool reference_feed = [] {
-        const char *env = std::getenv("MNM_REFERENCE_FEED");
-        return env && *env && *env != '0';
-    }();
-    if (reference_feed)
         sim.setReferenceFeed(true);
+    }
     auto workload = makeSpecWorkload(app);
     std::uint64_t warmup = instructions / 10;
     if (warmup)

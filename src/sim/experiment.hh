@@ -46,13 +46,12 @@
  *                     with segv, abort, exit:<code>, or hang raises
  *                     the process-fatal failures only MNM_WORKERS
  *                     contains (core/fault_inject.hh)
- *   MNM_REFERENCE_KERNEL  set to 1 to run functional cells through
- *                     the single-step virtual reference kernel (CI
- *                     byte-diffs it against the batched default)
- *   MNM_REFERENCE_FEED  set to 1 to drive the MNM update feed through
- *                     the per-event virtual listeners instead of the
- *                     batched event ring + update kernels (CI
- *                     byte-diffs it against the batched default)
+ *   MNM_REFERENCE     set to 1 to run functional cells through the
+ *                     reference paths: the single-step loop with
+ *                     virtual verdict dispatch, and the per-event
+ *                     virtual update feed instead of the batched event
+ *                     ring + update kernels (CI byte-diffs it against
+ *                     the batched default)
  *   MNM_PROF          off (default) | time | hw: per-phase attribution
  *                     of the simulator's own cost (batch generation,
  *                     L1-peek, verdict kernel, hierarchy walk, update
@@ -130,11 +129,11 @@ struct ExperimentOptions
  * window (10% of the budget, accounting discarded) followed by the
  * measured window.
  *
- * MNM_REFERENCE_KERNEL=1 forces the single-step virtual reference
- * kernel instead of the batched verdict-plan one -- CI byte-diffs a
- * bench's stdout across the two to prove the hot path changes nothing.
- * MNM_REFERENCE_FEED=1 does the same for the update side: per-event
- * virtual listeners instead of the batched event ring.
+ * MNM_REFERENCE=1 forces the reference paths: the single-step loop
+ * with virtual verdict dispatch instead of the batched request loop
+ * and SoA verdict program, and per-event virtual listeners instead of
+ * the batched event ring. CI byte-diffs a bench's stdout across the
+ * two to prove the hot path changes nothing.
  */
 MemSimResult runFunctional(const HierarchyParams &hierarchy,
                            const std::optional<MnmSpec> &mnm,

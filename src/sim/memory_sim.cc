@@ -154,18 +154,20 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
     result.fetch_requests += batch.fetch_requests;
     result.data_requests += batch.data_requests;
 
-    // Stage 2a, guard-free plans (every sound config): a request that
-    // hits its level-1 cache never consults the bypass mask -- the
-    // walk stops before the first planned level -- and a guard-free
-    // verdict carries no per-verdict statistics, so the verdict is
-    // provably dead data. Probe L1 directly (the verdict reads only
-    // filter state, never level-1 replacement state, so probing first
-    // changes no verdict): a hit completes the whole access right
-    // here -- the L1-hit accounting below is performAccess() on an
-    // L1 hit, term for term -- and only the L1-missing minority pays
-    // a verdict and the below-L1 walk.
-    if (!mnm_->planGuarded(AccessType::InstFetch) &&
-        !mnm_->planGuarded(AccessType::Load)) {
+    // Stage 2a, guard-free plans (every sound config, and no MNM at
+    // all -- the bare hierarchy is the plan with no guarded step and
+    // no candidates): a request that hits its level-1 cache never
+    // consults the bypass mask -- the walk stops before the first
+    // planned level -- and a guard-free verdict carries no
+    // per-verdict statistics, so the verdict is provably dead data.
+    // Probe L1 directly (the verdict reads only filter state, never
+    // level-1 replacement state, so probing first changes no
+    // verdict): a hit completes the whole access right here -- the
+    // L1-hit accounting below is performAccess() on an L1 hit, term
+    // for term -- and only the L1-missing minority pays a verdict and
+    // the below-L1 walk.
+    if (!mnm_ || (!mnm_->planGuarded(AccessType::InstFetch) &&
+                  !mnm_->planGuarded(AccessType::Load))) {
         // L1Peek self time = the lookahead peeks, prefetch hints, and
         // loop control; Verdict, HierWalk, and LaneDescent open nested
         // scopes.
@@ -224,6 +226,8 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
             hierarchy_.descendLanes(
                 lanes, num_lanes,
                 [&](const DescentLane &lane) {
+                    if (!mnm_)
+                        return BypassMask();
                     ProfScope<with_prof> prof_verdict(Phase::Verdict);
                     std::uint32_t cand;
                     mnm_->computeCandidates(lane.type, &lane.addr,
@@ -244,14 +248,13 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
             const AccessType type =
                 static_cast<AccessType>(req_type[k]);
             const bool is_instr = type == AccessType::InstFetch;
-            // Two-tier lookahead. Far tier: hint the L1 tag row so
-            // both the near tier's peek and the eventual probe scan
-            // resident lines. Near tier: hint the filter tables, gated
-            // on an L1 peek -- hints for L1-hitting requests would be
-            // dead weight. The peek against current state is only a
-            // heuristic for future state; a wrong guess costs a missed
-            // hint, never correctness.
-            if (k + prefetch_requests < n) {
+            // Lookahead: hint the filter tables a fixed request
+            // distance ahead, gated on an L1 peek -- hints for
+            // L1-hitting requests would be dead weight, and without an
+            // MNM there are no tables to hint. The peek against
+            // current state is only a heuristic for future state; a
+            // wrong guess costs a missed hint, never correctness.
+            if (mnm_ && k + prefetch_requests < n) {
                 const std::size_t f = k + prefetch_requests;
                 const AccessType ftype =
                     static_cast<AccessType>(req_type[f]);
@@ -286,7 +289,8 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
                 }
             }
             if (hit) {
-                mnm_->noteL1Hit();
+                if (mnm_)
+                    mnm_->noteL1Hit();
                 continue;
             }
             if (use_lanes) {
@@ -307,7 +311,7 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
                 continue;
             }
             BypassMask mask;
-            {
+            if (mnm_) {
                 ProfScope<with_prof> prof_verdict(Phase::Verdict);
                 std::uint32_t cand;
                 mnm_->computeCandidates(type, req_addr + k,
@@ -415,115 +419,43 @@ MemorySimulator::run(WorkloadGenerator &workload,
                 step<false>(inst, l1i, result);
         }
     } else {
-        const bool batch_verdicts =
-            mnm_ && mnm_->simdBackend() != SimdBackend::Off;
+        // Production path: the consumption unit is the derived request
+        // stream itself (nextRequests() fuses generation with stage-1
+        // derivation). The pipeline produces batch N+1 -- on a producer
+        // thread, or in software-pipelined slices on this one -- while
+        // this thread consumes batch N; MNM_OVERLAP=off forces the
+        // slices. The fetch-line dedup threads the simulator's
+        // persistent state through whichever producer runs; with a
+        // producer thread, the slot handoff orders every dedup write
+        // before this thread's reads. Attribution stays honest: a
+        // synchronous pipeline is still generation (BatchGen); only a
+        // real producer thread turns this scope into overlap
+        // wait/handoff (GenOverlap). The watchdog polls per batch: at
+        // most one batch of extra latency before a cell deadline is
+        // noticed, well inside the second-scale MNM_CELL_TIMEOUT_S.
+        FetchDedup dedup{l1i.blockBits(), cur_fetch_line_};
+        RequestPipeline pipeline(workload, dedup, instructions,
+                                 overlap_ ? PipelineMode::Auto
+                                          : PipelineMode::Sliced);
+        const Phase gen_phase =
+            pipeline.synchronous() ? Phase::BatchGen : Phase::GenOverlap;
         std::uint64_t remaining = instructions;
-        if (batch_verdicts) {
-            // Batch-verdict path: the consumption unit is the derived
-            // request stream itself (nextRequests() fuses generation
-            // with stage-1 derivation). The fetch-line dedup threads
-            // the simulator's persistent state through whichever
-            // producer runs -- with a producer thread, the pipeline's
-            // slot handoff orders every dedup write before this
-            // thread's reads.
-            FetchDedup dedup{l1i.blockBits(), cur_fetch_line_};
-            auto consume = [&](const RequestBatch &batch) {
-                if (with_prof)
-                    runBatchRequests<true>(batch, l1i, result);
-                else
-                    runBatchRequests<false>(batch, l1i, result);
-            };
-            if (overlap_) {
-                // Stage-decoupled generation: the pipeline produces
-                // batch N+1 (producer thread or software-pipelined
-                // slice) while this thread consumes batch N.
-                // Attribution stays honest: a synchronous pipeline is
-                // still generation (BatchGen); only a real producer
-                // thread turns this scope into overlap wait/handoff
-                // (GenOverlap).
-                RequestPipeline pipeline(workload, dedup, instructions);
-                const Phase gen_phase = pipeline.synchronous()
-                                            ? Phase::BatchGen
-                                            : Phase::GenOverlap;
-                while (remaining > 0) {
-                    const RequestBatch *batch;
-                    {
-                        PhaseScope prof(gen_phase);
-                        pollCellDeadlineBatch();
-                        batch = pipeline.acquire();
-                    }
-                    MNM_ASSERT(batch,
-                               "request pipeline ran dry before the "
-                               "instruction budget");
-                    consume(*batch);
-                    remaining -= batch->instructions;
-                }
-            } else {
-                if (!req_batch_)
-                    req_batch_ = std::make_unique<RequestBatch>();
-                while (remaining > 0) {
-                    {
-                        PhaseScope prof(Phase::BatchGen);
-                        pollCellDeadlineBatch();
-                        workload.nextRequests(*req_batch_, dedup,
-                                              remaining);
-                    }
-                    consume(*req_batch_);
-                    remaining -= req_batch_->instructions;
-                }
+        while (remaining > 0) {
+            const RequestBatch *batch;
+            {
+                PhaseScope prof(gen_phase);
+                pollCellDeadlineBatch();
+                batch = pipeline.acquire();
             }
-            cur_fetch_line_ = dedup.cur_line;
-        } else if (overlap_) {
-            // Step consumers under overlap: the handoff unit stays the
-            // Instruction record. The slice is a full batch, so on a
-            // single hardware thread this is the synchronous loop
-            // below, schedule and all.
-            BatchPipeline pipeline(workload, instructions);
-            const Phase gen_phase = pipeline.synchronous()
-                                        ? Phase::BatchGen
-                                        : Phase::GenOverlap;
-            while (remaining > 0) {
-                const InstructionBatch *batch;
-                {
-                    PhaseScope prof(gen_phase);
-                    pollCellDeadlineBatch();
-                    batch = pipeline.acquire();
-                }
-                MNM_ASSERT(batch,
-                           "batch pipeline ran dry before the "
-                           "instruction budget");
-                if (with_prof) {
-                    for (const Instruction &inst : *batch)
-                        step<true>(inst, l1i, result);
-                } else {
-                    for (const Instruction &inst : *batch)
-                        step<false>(inst, l1i, result);
-                }
-                remaining -= batch->size;
-            }
-        } else {
-            if (!batch_)
-                batch_ = std::make_unique<InstructionBatch>();
-            while (remaining > 0) {
-                // The watchdog moves from per-instruction to per-batch:
-                // at most ~4096 instructions of extra latency before a
-                // cell deadline is noticed, well inside the second-
-                // scale timeouts MNM_CELL_TIMEOUT_S expresses.
-                {
-                    PhaseScope prof(Phase::BatchGen);
-                    pollCellDeadlineBatch();
-                    workload.nextBatch(*batch_, remaining);
-                }
-                if (with_prof) {
-                    for (const Instruction &inst : *batch_)
-                        step<true>(inst, l1i, result);
-                } else {
-                    for (const Instruction &inst : *batch_)
-                        step<false>(inst, l1i, result);
-                }
-                remaining -= batch_->size;
-            }
+            MNM_ASSERT(batch, "request pipeline ran dry before the "
+                              "instruction budget");
+            if (with_prof)
+                runBatchRequests<true>(*batch, l1i, result);
+            else
+                runBatchRequests<false>(*batch, l1i, result);
+            remaining -= batch->instructions;
         }
+        cur_fetch_line_ = dedup.cur_line;
     }
 
     // Fold the per-cache event counts into the energy breakdown, one

@@ -130,16 +130,20 @@ class MemorySimulator
     /**
      * Stream @p instructions instructions from @p workload. Repeatable:
      * each call continues from the current (warm) state; accounting is
-     * per call.
+     * per call. Two loops serve it: the production loop consumes the
+     * derived request stream a batch at a time (with or without an
+     * MNM), the reference loop steps one instruction at a time
+     * (setReferenceKernel).
      */
     MemSimResult run(WorkloadGenerator &workload,
                      std::uint64_t instructions);
 
     /**
      * Route run() through the single-step workload API and the MNM's
-     * virtual-dispatch reference path instead of the batched verdict
-     * plan. Slow; exists so kernel_equivalence_test can prove the two
-     * kernels produce bit-identical results.
+     * virtual-dispatch reference path instead of the batched request
+     * loop and the SoA verdict program (half of the MNM_REFERENCE=1
+     * knob). Slow; exists so kernel_equivalence_test and the CI
+     * byte-diff can prove both loops produce bit-identical results.
      */
     void setReferenceKernel(bool on);
     bool referenceKernel() const { return reference_kernel_; }
@@ -147,7 +151,7 @@ class MemorySimulator
     /**
      * Route the MNM's update feed through the per-event virtual
      * listener path instead of the batched event ring + update kernels
-     * (the MNM_REFERENCE_FEED=1 knob). Slow; exists so
+     * (the other half of MNM_REFERENCE=1). Slow; exists so
      * kernel_equivalence_test and the CI byte-diff can prove both feeds
      * produce bit-identical results. No-op without an MNM.
      */
@@ -155,11 +159,13 @@ class MemorySimulator
     bool referenceFeed() const { return mnm_ && mnm_->referenceFeed(); }
 
     /**
-     * Overlap batch generation with consumption through a BatchPipeline
-     * (the MNM_OVERLAP knob; see trace/batch_pipeline.hh). Defaults to
-     * the environment's verdict; tests flip it per instance. The
-     * generated stream -- and therefore every counter and output byte
-     * -- is identical either way; only the schedule changes.
+     * Let the production loop's RequestPipeline pick its schedule
+     * (producer thread on multi-core hosts, software-pipelined slices
+     * otherwise) or, off, force the synchronous slices (the
+     * MNM_OVERLAP knob; see trace/batch_pipeline.hh). Defaults to the
+     * environment's verdict; tests flip it per instance. The generated
+     * stream -- and therefore every counter and output byte -- is
+     * identical either way; only the schedule changes.
      */
     void setOverlap(bool on) { overlap_ = on; }
     bool overlap() const { return overlap_; }
@@ -213,7 +219,8 @@ class MemorySimulator
 
     /** Batch path: consume one pre-derived request batch -- verdict it
      *  through the MNM's kernels (L1-peek + lane queue for guard-free
-     *  plans, chunked SoA kernels for guarded ones), walk, account.
+     *  plans and for no MNM, chunked SoA kernels for guarded ones),
+     *  walk, account.
      *  The request stream arrives already derived (the generators'
      *  nextRequests() fuses derivation into generation), so this is
      *  pure consumption. Templated like performAccess: run() picks the
@@ -223,7 +230,8 @@ class MemorySimulator
     void runBatchRequests(const RequestBatch &batch, const Cache &l1i,
                           MemSimResult &result);
 
-    /** One instruction: fetch-line dedup plus the data request. */
+    /** One instruction of the reference loop: fetch-line dedup plus
+     *  the data request. */
     template <bool with_prof>
     void
     step(const Instruction &inst, const Cache &l1i, MemSimResult &result)
@@ -248,18 +256,11 @@ class MemorySimulator
     /** Per-cache probe/fill energies from the analytical model. */
     std::vector<PowerDelay> cache_power_;
     std::vector<CacheEventCounts> event_counts_;
-    /** Batch buffer, heap-allocated once (128KB is unkind to stacks
-     *  when runSweep's worker threads run many simulators). */
-    std::unique_ptr<InstructionBatch> batch_;
-    /** Request batch buffer for the overlap-off batch-verdict path
-     *  (the overlap pipeline owns its own slots), heap-allocated
-     *  lazily. */
-    std::unique_ptr<RequestBatch> req_batch_;
     /** Per-batch verdict scratch for the guarded (stage 2b) path,
      *  allocated lazily. */
     AlignedArray<std::uint32_t> req_cand_;
     bool reference_kernel_ = false;
-    /** MNM_OVERLAP: generate batches through a BatchPipeline. */
+    /** MNM_OVERLAP: let the RequestPipeline run a producer thread. */
     bool overlap_;
     /** Lane-queue pending-set conflict bitmaps, one bit per L1 set
      *  ([0] = I-side, [1] = D-side; one shared vector when level 1 is

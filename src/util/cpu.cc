@@ -1,80 +1,14 @@
 #include "util/cpu.hh"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>
 #endif
 
-#include "util/logging.hh"
-
 namespace mnm
 {
-
-bool
-cpuHasAvx2()
-{
-#if defined(__x86_64__) || defined(_M_X64)
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
-}
-
-bool
-cpuHasNeon()
-{
-#if defined(__aarch64__)
-    return true; // AdvSIMD is architecturally mandatory on AArch64
-#else
-    return false;
-#endif
-}
-
-SimdBackend
-nativeSimdBackend()
-{
-    if (cpuHasAvx2())
-        return SimdBackend::Avx2;
-    if (cpuHasNeon())
-        return SimdBackend::Neon;
-    return SimdBackend::ScalarSoa;
-}
-
-SimdBackend
-parseSimdBackend(const char *value)
-{
-    if (!value || !*value || std::strcmp(value, "native") == 0)
-        return nativeSimdBackend();
-    if (std::strcmp(value, "off") == 0)
-        return SimdBackend::Off;
-    if (std::strcmp(value, "scalar-soa") == 0)
-        return SimdBackend::ScalarSoa;
-    if (std::strcmp(value, "avx2") == 0) {
-        if (!cpuHasAvx2())
-            fatal("MNM_SIMD=avx2 but this CPU has no AVX2");
-        return SimdBackend::Avx2;
-    }
-    if (std::strcmp(value, "neon") == 0) {
-        if (!cpuHasNeon())
-            fatal("MNM_SIMD=neon but this machine is not AArch64");
-        return SimdBackend::Neon;
-    }
-    fatal("unknown MNM_SIMD value '%s' (expected off, scalar-soa, "
-          "native, avx2, or neon)",
-          value);
-}
-
-SimdBackend
-simdBackendFromEnv()
-{
-    static const SimdBackend backend =
-        parseSimdBackend(std::getenv("MNM_SIMD"));
-    return backend;
-}
 
 std::uint64_t
 profFastTick()
@@ -112,22 +46,6 @@ profTickHz()
                    : 1e9;
     }();
     return hz;
-}
-
-const char *
-simdBackendName(SimdBackend backend)
-{
-    switch (backend) {
-      case SimdBackend::Off:
-        return "off";
-      case SimdBackend::ScalarSoa:
-        return "scalar-soa";
-      case SimdBackend::Avx2:
-        return "avx2";
-      case SimdBackend::Neon:
-        return "neon";
-    }
-    return "?";
 }
 
 } // namespace mnm

@@ -1,24 +1,6 @@
 /**
  * @file
- * Runtime CPU-feature detection and SIMD backend selection.
- *
- * The SoA verdict kernels (core/soa_state.hh) come in three flavours:
- * the legacy scalar plan walk ("off"), a scalar pass over the SoA
- * program ("scalar-soa"), and an ISA-specific vector pass (AVX2 on
- * x86-64, NEON on AArch64). All three are bit-identical -- the backend
- * only chooses how the same arithmetic is scheduled -- so selection is
- * a pure performance knob.
- *
- * The knob is the MNM_SIMD environment variable:
- *
- *   off         legacy per-access plan walk (no SoA program)
- *   scalar-soa  SoA program, scalar loops
- *   native      best vector backend this CPU supports, else scalar-soa
- *   avx2/neon   force one vector ISA; fatal if unsupported here
- *
- * Unset defaults to native. Anything else is rejected loudly (the
- * repo's env-knob convention: a typo must not silently change what a
- * bench measured).
+ * Host CPU services: the fast timestamp behind phase attribution.
  */
 
 #ifndef MNM_UTIL_CPU_HH
@@ -28,36 +10,6 @@
 
 namespace mnm
 {
-
-/** Which verdict-kernel implementation serves computeBypass. */
-enum class SimdBackend
-{
-    Off,       //!< legacy scalar plan walk (reference for perf diffs)
-    ScalarSoa, //!< SoA program, scalar loops
-    Avx2,      //!< SoA program, 8-wide AVX2 passes (x86-64 only)
-    Neon,      //!< SoA program, NEON passes (AArch64 only)
-};
-
-/** Does this CPU execute AVX2? Always false off x86-64. */
-bool cpuHasAvx2();
-
-/** Does this CPU execute NEON? True on AArch64, false elsewhere. */
-bool cpuHasNeon();
-
-/** The vector backend "native" resolves to on this machine (ScalarSoa
- *  when no vector ISA is available). */
-SimdBackend nativeSimdBackend();
-
-/** Parse one MNM_SIMD value; fatal on unknown names or on forcing an
- *  ISA this machine cannot execute. */
-SimdBackend parseSimdBackend(const char *value);
-
-/** The process-wide backend from MNM_SIMD (default native), resolved
- *  once on first use. */
-SimdBackend simdBackendFromEnv();
-
-/** Stable lower-case name ("off", "scalar-soa", "avx2", "neon"). */
-const char *simdBackendName(SimdBackend backend);
 
 /**
  * Monotonic fast timestamp for phase attribution (obs/phase_profiler):

@@ -1,15 +1,16 @@
 /**
  * @file
- * The batched/devirtualized hot kernel against the single-step virtual
- * reference path (sim/memory_sim.hh setReferenceKernel), on EVERY
- * verdict backend this machine runs: the legacy per-access plan walk
- * (off), the scalar SoA pass, and the native vector pass (AVX2/NEON)
- * when one exists. The refactor's contract is *bit-identical* results
- * -- every counter, the coverage and confusion breakdowns, and the
- * energy doubles -- across the preset grid: the five techniques plus
- * the perfect MNM and the bare hierarchy, under all three placements,
- * and with faults injected mid-run through every kernel. The update
- * side gets the same treatment: the batched event ring drained through
+ * The production path -- the batched request loop with the SoA verdict
+ * program -- against the single-step virtual reference path
+ * (sim/memory_sim.hh setReferenceKernel). The contract is
+ * *bit-identical* results -- every counter, the coverage and confusion
+ * breakdowns, and the energy doubles -- across the preset grid: the
+ * five techniques plus the perfect MNM and the bare hierarchy, under
+ * all three placements, and with faults injected mid-run. The bare
+ * hierarchy also runs on 2-, 3- and 7-level machines and an inclusive
+ * 5-level one, so both of its production routes (the lane queue and
+ * the immediate below-L1 walk) face the reference. The update side
+ * gets the same treatment: the batched event ring drained through
  * devirtualized update kernels against the per-event virtual listener
  * feed (setReferenceFeed), faulted runs included.
  */
@@ -26,7 +27,6 @@
 #include "sim/config.hh"
 #include "sim/memory_sim.hh"
 #include "trace/spec2000.hh"
-#include "util/cpu.hh"
 
 namespace mnm
 {
@@ -144,62 +144,38 @@ class KernelEquivalenceTest
 {
 };
 
-/** Every backend a verdict can be computed under on this machine. */
-std::vector<SimdBackend>
-verdictBackends()
-{
-    std::vector<SimdBackend> backends = {SimdBackend::Off,
-                                         SimdBackend::ScalarSoa};
-    if (nativeSimdBackend() != SimdBackend::ScalarSoa)
-        backends.push_back(nativeSimdBackend());
-    return backends;
-}
-
 TEST_P(KernelEquivalenceTest, BatchedMatchesReferenceOnPresetMachine)
 {
     const KernelCase &c = GetParam();
-    auto run_case = [&](bool reference, SimdBackend backend) {
+    auto run_case = [&](bool reference) {
         MemorySimulator sim(paperHierarchy(5), c.spec);
         sim.setReferenceKernel(reference);
-        if (!reference && c.spec)
-            sim.mnm()->setSimdBackend(backend);
         auto workload = makeSpecWorkload(workload_name);
         // Two runs: the second starts warm, covering the carried
         // state (filters, coverage, cumulative violation counters).
         sim.run(*workload, run_instructions / 2);
         return sim.run(*workload, run_instructions / 2);
     };
-    MemSimResult reference = run_case(true, SimdBackend::Off);
-    for (SimdBackend backend : verdictBackends()) {
-        SCOPED_TRACE(simdBackendName(backend));
-        MemSimResult batched = run_case(false, backend);
-        expectIdenticalResults(batched, reference);
-    }
+    expectIdenticalResults(run_case(false), run_case(true));
 }
 
 TEST_P(KernelEquivalenceTest, BatchedFeedMatchesVirtualFeedOnPresetMachine)
 {
     // The update-side axis: the batched event ring drained through the
     // devirtualized update kernels (default) against the per-event
-    // virtual listener feed (MNM_REFERENCE_FEED=1). Both sides run the
-    // batched verdict kernel, so any divergence is the feed's fault.
+    // virtual listener feed (half of MNM_REFERENCE=1). Both sides run
+    // the batched verdict kernel, so any divergence is the feed's
+    // fault.
     const KernelCase &c = GetParam();
-    auto run_case = [&](bool reference_feed, SimdBackend backend) {
+    auto run_case = [&](bool reference_feed) {
         MemorySimulator sim(paperHierarchy(5), c.spec);
         if (reference_feed)
             sim.setReferenceFeed(true);
-        if (c.spec)
-            sim.mnm()->setSimdBackend(backend);
         auto workload = makeSpecWorkload(workload_name);
         sim.run(*workload, run_instructions / 2);
         return sim.run(*workload, run_instructions / 2);
     };
-    MemSimResult reference = run_case(true, SimdBackend::Off);
-    for (SimdBackend backend : verdictBackends()) {
-        SCOPED_TRACE(simdBackendName(backend));
-        MemSimResult batched = run_case(false, backend);
-        expectIdenticalResults(batched, reference);
-    }
+    expectIdenticalResults(run_case(false), run_case(true));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -218,18 +194,15 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchReferenceExactly)
     // Same contract with corrupted filter state: warm each kernel,
     // apply the identical deterministic flips (first/middle/last bit
     // of every surface), and the oracle-checked continuation must
-    // still agree bit for bit -- violations included -- on every
-    // backend.
+    // still agree bit for bit -- violations included.
     for (const char *name : {"RMNM_512_2", "SMNM_13x2", "TMNM_12x3",
                              "CMNM_8_10", "HMNM4"}) {
         SCOPED_TRACE(name);
         MnmSpec spec = mnmSpecByName(name);
         spec.oracle_check = true;
-        auto run_case = [&](bool reference, SimdBackend backend) {
+        auto run_case = [&](bool reference) {
             MemorySimulator sim(paperHierarchy(5), spec);
             sim.setReferenceKernel(reference);
-            if (!reference)
-                sim.mnm()->setSimdBackend(backend);
             auto workload = makeSpecWorkload(workload_name);
             sim.run(*workload, run_instructions / 2);
             auto surfaces = FaultInjector::faultSurfaces(*sim.mnm());
@@ -243,12 +216,7 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchReferenceExactly)
             }
             return sim.run(*workload, run_instructions / 2);
         };
-        MemSimResult reference = run_case(true, SimdBackend::Off);
-        for (SimdBackend backend : verdictBackends()) {
-            SCOPED_TRACE(simdBackendName(backend));
-            MemSimResult batched = run_case(false, backend);
-            expectIdenticalResults(batched, reference);
-        }
+        expectIdenticalResults(run_case(false), run_case(true));
     }
 }
 
@@ -263,11 +231,10 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchVirtualFeedExactly)
         SCOPED_TRACE(name);
         MnmSpec spec = mnmSpecByName(name);
         spec.oracle_check = true;
-        auto run_case = [&](bool reference_feed, SimdBackend backend) {
+        auto run_case = [&](bool reference_feed) {
             MemorySimulator sim(paperHierarchy(5), spec);
             if (reference_feed)
                 sim.setReferenceFeed(true);
-            sim.mnm()->setSimdBackend(backend);
             auto workload = makeSpecWorkload(workload_name);
             sim.run(*workload, run_instructions / 2);
             auto surfaces = FaultInjector::faultSurfaces(*sim.mnm());
@@ -281,12 +248,7 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchVirtualFeedExactly)
             }
             return sim.run(*workload, run_instructions / 2);
         };
-        MemSimResult reference = run_case(true, SimdBackend::Off);
-        for (SimdBackend backend : verdictBackends()) {
-            SCOPED_TRACE(simdBackendName(backend));
-            MemSimResult batched = run_case(false, backend);
-            expectIdenticalResults(batched, reference);
-        }
+        expectIdenticalResults(run_case(false), run_case(true));
     }
 }
 
@@ -295,24 +257,19 @@ TEST(KernelEquivalenceTest, OverlapPipelineMatchesSynchronousExactly)
     // The MNM_OVERLAP axis: stage-decoupled generation (producer
     // thread on multi-core hosts, software-pipelined slices on
     // single-core ones -- whatever PipelineMode::Auto picks here)
-    // against the plain synchronous generate-then-consume loop. Both
-    // feed paths and every verdict backend: the schedule is the only
-    // thing allowed to change, so every counter must match bit for
-    // bit. Off-backend cells route through the instruction pipeline
-    // (step consumers), on-backend cells through the fused request
-    // pipeline -- both handoffs are under test.
+    // against the synchronous slices MNM_OVERLAP=off forces. Both
+    // feed paths: the schedule is the only thing allowed to change, so
+    // every counter must match bit for bit.
     for (const char *name :
          {"RMNM_512_2", "SMNM_13x2", "TMNM_12x3", "CMNM_8_10",
           "HMNM4"}) {
         SCOPED_TRACE(name);
         const MnmSpec spec = mnmSpecByName(name);
-        auto run_case = [&](bool overlap, bool reference_feed,
-                            SimdBackend backend) {
+        auto run_case = [&](bool overlap, bool reference_feed) {
             MemorySimulator sim(paperHierarchy(5), spec);
             sim.setOverlap(overlap);
             if (reference_feed)
                 sim.setReferenceFeed(true);
-            sim.mnm()->setSimdBackend(backend);
             auto workload = makeSpecWorkload(workload_name);
             sim.run(*workload, run_instructions / 2);
             return sim.run(*workload, run_instructions / 2);
@@ -320,14 +277,8 @@ TEST(KernelEquivalenceTest, OverlapPipelineMatchesSynchronousExactly)
         for (bool reference_feed : {false, true}) {
             SCOPED_TRACE(reference_feed ? "reference-feed"
                                         : "batched-feed");
-            for (SimdBackend backend : verdictBackends()) {
-                SCOPED_TRACE(simdBackendName(backend));
-                MemSimResult synchronous =
-                    run_case(false, reference_feed, backend);
-                MemSimResult overlapped =
-                    run_case(true, reference_feed, backend);
-                expectIdenticalResults(overlapped, synchronous);
-            }
+            expectIdenticalResults(run_case(true, reference_feed),
+                                   run_case(false, reference_feed));
         }
     }
 }
@@ -343,10 +294,9 @@ TEST(KernelEquivalenceTest, FaultedOverlapMatchesSynchronousExactly)
         SCOPED_TRACE(name);
         MnmSpec spec = mnmSpecByName(name);
         spec.oracle_check = true;
-        auto run_case = [&](bool overlap, SimdBackend backend) {
+        auto run_case = [&](bool overlap) {
             MemorySimulator sim(paperHierarchy(5), spec);
             sim.setOverlap(overlap);
-            sim.mnm()->setSimdBackend(backend);
             auto workload = makeSpecWorkload(workload_name);
             sim.run(*workload, run_instructions / 2);
             auto surfaces = FaultInjector::faultSurfaces(*sim.mnm());
@@ -360,14 +310,62 @@ TEST(KernelEquivalenceTest, FaultedOverlapMatchesSynchronousExactly)
             }
             return sim.run(*workload, run_instructions / 2);
         };
-        for (SimdBackend backend : verdictBackends()) {
-            SCOPED_TRACE(simdBackendName(backend));
-            MemSimResult synchronous = run_case(false, backend);
-            MemSimResult overlapped = run_case(true, backend);
-            expectIdenticalResults(overlapped, synchronous);
-        }
+        expectIdenticalResults(run_case(true), run_case(false));
     }
 }
+
+/** One bare-hierarchy machine for the no-MNM routes. */
+struct BareMachine
+{
+    std::string label;
+    HierarchyParams params;
+};
+
+std::vector<BareMachine>
+bareMachines()
+{
+    std::vector<BareMachine> machines;
+    for (int levels : {2, 3, 7})
+        machines.push_back(
+            {std::to_string(levels) + "_levels", paperHierarchy(levels)});
+    // Inclusive machines walk each L1 miss on the spot (a deferred walk
+    // could back-invalidate any L1 set), so they skip the lane queue.
+    HierarchyParams inclusive = paperHierarchy(5);
+    inclusive.inclusion = InclusionPolicy::Inclusive;
+    machines.push_back({"inclusive_5_levels", inclusive});
+    return machines;
+}
+
+class BareHierarchyEquivalenceTest
+    : public ::testing::TestWithParam<BareMachine>
+{
+};
+
+TEST_P(BareHierarchyEquivalenceTest, BatchedMatchesReferenceWithoutMnm)
+{
+    // No MNM runs the production request loop as a guard-free plan
+    // with empty bypass masks: the lane queue on non-inclusive
+    // machines, the immediate below-L1 walk on inclusive ones. Both
+    // overlap schedules must reproduce the reference step loop.
+    const HierarchyParams &params = GetParam().params;
+    auto run_case = [&](bool reference, bool overlap) {
+        MemorySimulator sim(params);
+        sim.setReferenceKernel(reference);
+        sim.setOverlap(overlap);
+        auto workload = makeSpecWorkload(workload_name);
+        sim.run(*workload, run_instructions / 2);
+        return sim.run(*workload, run_instructions / 2);
+    };
+    const MemSimResult reference = run_case(true, false);
+    for (bool overlap : {false, true}) {
+        SCOPED_TRACE(overlap ? "overlap" : "synchronous");
+        expectIdenticalResults(run_case(false, overlap), reference);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(NoMnm, BareHierarchyEquivalenceTest,
+                         ::testing::ValuesIn(bareMachines()),
+                         [](const auto &info) { return info.param.label; });
 
 } // anonymous namespace
 } // namespace mnm

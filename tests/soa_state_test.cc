@@ -4,8 +4,7 @@
  * program BORROWS the live filter tables, so every filter mutation --
  * workload churn, flushes, injected faults -- must be visible to the
  * SoA kernels immediately and the program must verdict exactly as the
- * virtual-dispatch filter walk would, on every backend, at any
- * hierarchy depth.
+ * virtual-dispatch filter walk would, at any hierarchy depth.
  */
 
 #include <cstdint>
@@ -22,23 +21,11 @@
 #include "sim/config.hh"
 #include "sim/memory_sim.hh"
 #include "trace/spec2000.hh"
-#include "util/cpu.hh"
 
 namespace mnm
 {
 namespace
 {
-
-/** Every backend a verdict can be computed under on this machine. */
-std::vector<SimdBackend>
-verdictBackends()
-{
-    std::vector<SimdBackend> backends = {SimdBackend::Off,
-                                         SimdBackend::ScalarSoa};
-    if (nativeSimdBackend() != SimdBackend::ScalarSoa)
-        backends.push_back(nativeSimdBackend());
-    return backends;
-}
 
 /** A deterministic probe stream: the workload's own fetch and data
  *  addresses, the traffic the filters were trained on. */
@@ -61,10 +48,10 @@ probeStream(const char *app, std::uint64_t instructions)
     return probes;
 }
 
-/** Every backend's verdict for every probe must equal the reference
+/** The SoA program's verdict for every probe must equal the reference
  *  (virtual MissFilter dispatch) verdict against the SAME state. */
 void
-expectAllBackendsMatchReference(
+expectProgramMatchesReference(
     MnmUnit &unit,
     const std::vector<std::pair<AccessType, Addr>> &probes,
     const char *when)
@@ -74,17 +61,13 @@ expectAllBackendsMatchReference(
         const std::uint32_t reference =
             unit.computeBypass(type, addr).raw();
         unit.setReferenceDispatch(false);
-        for (SimdBackend backend : verdictBackends()) {
-            unit.setSimdBackend(backend);
-            ASSERT_EQ(unit.computeBypass(type, addr).raw(), reference)
-                << when << ": backend " << simdBackendName(backend)
-                << " addr 0x" << std::hex << addr;
-        }
+        ASSERT_EQ(unit.computeBypass(type, addr).raw(), reference)
+            << when << ": addr 0x" << std::hex << addr;
     }
 }
 
 /** Churn, flush, and corrupt the filters of a live simulator; after
- *  each mutation every backend must mirror the filters exactly. */
+ *  each mutation the program must mirror the filters exactly. */
 void
 runMirrorCoherence(MemorySimulator &sim,
                    const std::vector<std::pair<AccessType, Addr>> &probes)
@@ -92,18 +75,18 @@ runMirrorCoherence(MemorySimulator &sim,
     auto workload = makeSpecWorkload("164.gzip");
     sim.run(*workload, 30000);
     MnmUnit &unit = *sim.mnm();
-    expectAllBackendsMatchReference(unit, probes, "warm");
+    expectProgramMatchesReference(unit, probes, "warm");
 
     // More churn between probe sweeps: placements and replacements
     // keep rewriting the borrowed tables in place.
     sim.run(*workload, 10000);
-    expectAllBackendsMatchReference(unit, probes, "churned");
+    expectProgramMatchesReference(unit, probes, "churned");
 
     // Flush events rewrite every filter's state wholesale (and reset
     // the shared RMNM); the mirror must follow without recompilation.
     for (CacheId id = 0; id < sim.hierarchy().numCaches(); ++id)
         unit.onFlush(id);
-    expectAllBackendsMatchReference(unit, probes, "flushed");
+    expectProgramMatchesReference(unit, probes, "flushed");
 
     // Injected faults flip bits in the filters' private storage; the
     // borrowed-table contract makes them visible to the SoA kernels by
@@ -118,7 +101,7 @@ runMirrorCoherence(MemorySimulator &sim,
             FaultInjector::flip(unit, s, bit);
         }
     }
-    expectAllBackendsMatchReference(unit, probes, "faulted");
+    expectProgramMatchesReference(unit, probes, "faulted");
 }
 
 TEST(SoaStateTest, MirrorCoherenceOnPaperMachine)
@@ -160,7 +143,8 @@ TEST(SoaStateTest, MirrorCoherenceOnSeventeenLevelTower)
  *  ring + devirtualized update kernels, one on the per-event virtual
  *  feed: after every churn/flush stage the borrowed tables must hold
  *  bit-identical state, proven by verdict equality over the probe
- *  stream on every backend. */
+ *  stream: the batched side's SoA program against the reference
+ *  side's virtual filter walk. */
 void
 runFeedCoherence(const HierarchyParams &hier, const MnmSpec &spec,
                  const char *app, std::uint64_t probe_instructions)
@@ -175,16 +159,13 @@ runFeedCoherence(const HierarchyParams &hier, const MnmSpec &spec,
     auto expect_same_state = [&](const char *when) {
         MnmUnit &b = *batched.mnm();
         MnmUnit &r = *reference.mnm();
+        r.setReferenceDispatch(true);
         for (const auto &[type, addr] : probes) {
-            for (SimdBackend backend : verdictBackends()) {
-                b.setSimdBackend(backend);
-                r.setSimdBackend(backend);
-                ASSERT_EQ(b.computeBypass(type, addr).raw(),
-                          r.computeBypass(type, addr).raw())
-                    << when << ": backend " << simdBackendName(backend)
-                    << " addr 0x" << std::hex << addr;
-            }
+            ASSERT_EQ(b.computeBypass(type, addr).raw(),
+                      r.computeBypass(type, addr).raw())
+                << when << ": addr 0x" << std::hex << addr;
         }
+        r.setReferenceDispatch(false);
     };
 
     auto wb = makeSpecWorkload(app);

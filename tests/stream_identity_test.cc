@@ -2,9 +2,9 @@
  * @file
  * The RNG-draw-order contract behind the MNM_OVERLAP stage decoupling,
  * proven per workload: every producer schedule -- single-step next(),
- * synchronous full batches, the double-buffered producer thread, the
- * software-pipelined slices, and the fused request producer -- must
- * emit bit-for-bit the same stream. All twenty named workloads run
+ * bounded instruction batches, the fused request producer, and the
+ * request pipeline's producer thread and software-pipelined slices --
+ * must emit bit-for-bit the same stream. All twenty named workloads run
  * through every axis; a divergence reports the first divergent index
  * so a generator regression points at the exact draw that broke. The
  * first 20k records and requests of each workload are also pinned by
@@ -49,15 +49,17 @@ collectSingleStep(WorkloadGenerator &workload, std::uint64_t n)
 }
 
 std::vector<Instruction>
-collectPipeline(WorkloadGenerator &workload, std::uint64_t n,
-                PipelineMode mode)
+collectBatched(WorkloadGenerator &workload, std::uint64_t n,
+               std::uint64_t window)
 {
     std::vector<Instruction> out;
     out.reserve(n);
-    BatchPipeline pipeline(workload, n, mode);
-    while (const InstructionBatch *batch = pipeline.acquire())
-        out.insert(out.end(), batch->records,
-                   batch->records + batch->size);
+    InstructionBatch batch;
+    while (out.size() < n) {
+        workload.nextBatch(batch, std::min<std::uint64_t>(
+                                      n - out.size(), window));
+        out.insert(out.end(), batch.records, batch.records + batch.size);
+    }
     return out;
 }
 
@@ -127,21 +129,21 @@ class StreamIdentityTest
 TEST_P(StreamIdentityTest, PipelineSchedulesMatchSingleStep)
 {
     // next() one instruction at a time is the reference schedule. The
-    // batch pipeline must replay it exactly under both non-Auto modes:
-    // Threaded forces the producer-thread handoff even on a single
-    // hardware thread, Sliced forces the software-pipelined slices
-    // even on many.
+    // instruction-record consumers left -- the timing cores -- pull
+    // bounded nextBatch refills of refill_window records; full batches
+    // cover the other end of the window range. Both must replay the
+    // reference exactly across batch boundaries and a ragged tail.
     auto reference = makeSpecWorkload(GetParam());
     const std::vector<Instruction> want =
         collectSingleStep(*reference, stream_instructions);
 
-    for (PipelineMode mode :
-         {PipelineMode::Threaded, PipelineMode::Sliced}) {
+    for (std::uint64_t window :
+         {refill_window, std::uint64_t{InstructionBatch::capacity}}) {
         auto workload = makeSpecWorkload(GetParam());
         expectSameInstructions(
-            collectPipeline(*workload, stream_instructions, mode), want,
-            mode == PipelineMode::Threaded ? "threaded pipeline"
-                                           : "sliced pipeline");
+            collectBatched(*workload, stream_instructions, window), want,
+            window == refill_window ? "refill-window batches"
+                                    : "full batches");
     }
 }
 
