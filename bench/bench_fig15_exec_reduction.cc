@@ -11,35 +11,9 @@
  */
 
 #include "core/presets.hh"
-#include "cpu/ooo_core.hh"
 #include "harness.hh"
-#include "trace/spec2000.hh"
-#include "util/logging.hh"
 
 using namespace mnm;
-
-namespace
-{
-
-Cycles
-runCycles(const std::string &app, const std::string &config,
-          std::uint64_t instructions)
-{
-    CacheHierarchy hierarchy(paperHierarchy(5));
-    std::unique_ptr<MnmUnit> mnm;
-    if (!config.empty()) {
-        MnmSpec spec = mnmSpecByName(config);
-        spec.placement = MnmPlacement::Parallel;
-        mnm = std::make_unique<MnmUnit>(spec, hierarchy);
-    }
-    OooCore core(paperCpu(5), hierarchy, mnm.get());
-    auto workload = makeSpecWorkload(app);
-    // Warm the hierarchy, then measure.
-    core.run(*workload, instructions / 10);
-    return core.run(*workload, instructions).cycles;
-}
-
-} // anonymous namespace
 
 int
 main()
@@ -47,41 +21,32 @@ main()
     SweepTableBench bench("fig15_exec_reduction",
                           "Figure 15: reduction in execution cycles, "
                           "parallel MNM [%]");
-    const ExperimentOptions &opts = bench.opts();
-    std::vector<std::string> header = {"app"};
     // Variant 0 is the baseline (no MNM); the headline configs follow.
-    std::vector<std::string> configs = {""};
+    // Warm OooCore cells: a tenth of the budget warms the hierarchy.
+    bench.addVariant("base", paperHierarchy(5), std::nullopt,
+                     CellModel::OooCore);
     for (const std::string &config : headlineConfigs()) {
-        header.push_back(config);
-        configs.push_back(config);
+        MnmSpec spec = mnmSpecByName(config);
+        spec.placement = MnmPlacement::Parallel;
+        bench.addVariant(config, paperHierarchy(5), spec,
+                         CellModel::OooCore);
     }
-    bench.setHeader(header);
+    bench.useVariantHeader(1);
+    bench.runGrid();
 
-    // Timing-core runs, one cell per (app, config), app-major. Every
-    // column is baseline-relative, so a failure aborts the bench with
-    // the aggregate error list instead of printing gap markers.
-    ParallelRunner runner(opts.jobs);
-    std::vector<Cycles> cycles;
-    try {
-        cycles = runner.map<Cycles>(
-            opts.apps.size() * configs.size(), [&](std::size_t i) {
-                return runCycles(opts.apps[i / configs.size()],
-                                 configs[i % configs.size()],
-                                 opts.instructions);
-            });
-    } catch (const SweepFailure &e) {
-        fatal("%s", e.what());
-    }
-
+    // Every column is baseline-relative: a failed baseline gaps the
+    // whole row, a failed config its own column.
     for (std::size_t a = 0; a < bench.numApps(); ++a) {
-        Cycles base = cycles[a * configs.size()];
+        const MemSimResult &base = bench.at(a, 0);
+        const double base_cycles = static_cast<double>(base.cpu.cycles);
         std::vector<double> row;
-        for (std::size_t c = 1; c < configs.size(); ++c) {
-            row.push_back(100.0 *
-                          (static_cast<double>(base) -
-                           static_cast<double>(
-                               cycles[a * configs.size() + c])) /
-                          static_cast<double>(base));
+        for (std::size_t v = 1; v < bench.numVariants(); ++v) {
+            const MemSimResult &r = bench.at(a, v);
+            row.push_back(sweepCell(
+                base, r,
+                100.0 *
+                    (base_cycles - static_cast<double>(r.cpu.cycles)) /
+                    base_cycles));
         }
         bench.addAppRow(a, row, 2);
     }

@@ -5,74 +5,44 @@
  * the per-level hit rates of all seven cache structures.
  */
 
-#include "cpu/ooo_core.hh"
-#include "obs/manifest.hh"
-#include "sim/config.hh"
-#include "sim/runner.hh"
-#include "trace/spec2000.hh"
-#include "util/logging.hh"
-#include "util/table.hh"
+#include "harness.hh"
 
 using namespace mnm;
 
 int
 main()
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    setRunName("table2_characteristics");
-    Table table("Table 2: application characteristics (5-level machine)");
-    table.setHeader({"app", "cycles[M]", "dl1 acc[M]", "il1 acc[M]",
+    SweepTableBench bench("table2_characteristics",
+                          "Table 2: application characteristics "
+                          "(5-level machine)");
+    bench.setHeader({"app", "cycles[M]", "dl1 acc[M]", "il1 acc[M]",
                      "dl1 hit%", "dl2 hit%", "il1 hit%", "il2 hit%",
                      "ul3 hit%", "ul4 hit%", "ul5 hit%"});
+    // One cold OooCore cell per app, no MNM.
+    bench.addVariant("base", paperHierarchy(5), std::nullopt,
+                     CellModel::OooCore, /*warm=*/false);
+    bench.runGrid();
 
-    // One timing-core run per app; each cell returns its full row.
-    // Timing runs are all-or-nothing: a failure aborts the bench with
-    // the aggregate error list (unlike runSweep's gap markers).
-    ParallelRunner runner(opts.jobs);
-    std::vector<std::vector<double>> rows;
-    try {
-        rows = runner.map<std::vector<double>>(
-            opts.apps.size(), [&](std::size_t a) {
-                CacheHierarchy hierarchy(paperHierarchy(5));
-                OooCore core(paperCpu(5), hierarchy);
-                auto workload = makeSpecWorkload(opts.apps[a]);
-                CpuRunStats stats =
-                    core.run(*workload, opts.instructions);
-
-                auto hit_rate = [&](const char *name) {
-                    for (CacheId id = 0; id < hierarchy.numCaches();
-                         ++id) {
-                        if (hierarchy.cache(id).params().name == name) {
-                            return 100.0 * hierarchy.cache(id)
-                                               .stats()
-                                               .hitRate();
-                        }
-                    }
-                    return 0.0;
-                };
-                return std::vector<double>{
-                    static_cast<double>(stats.cycles) / 1e6,
-                    static_cast<double>(stats.loads + stats.stores) /
-                        1e6,
-                    static_cast<double>(stats.fetch_line_accesses) /
-                        1e6,
-                    hit_rate("dl1"),
-                    hit_rate("dl2"),
-                    hit_rate("il1"),
-                    hit_rate("il2"),
-                    hit_rate("ul3"),
-                    hit_rate("ul4"),
-                    hit_rate("ul5"),
-                };
-            });
-    } catch (const SweepFailure &e) {
-        fatal("%s", e.what());
+    for (std::size_t a = 0; a < bench.numApps(); ++a) {
+        const MemSimResult &r = bench.at(a, 0);
+        const CpuRunStats &cpu = r.cpu;
+        std::vector<double> row = {
+            static_cast<double>(cpu.cycles) / 1e6,
+            static_cast<double>(cpu.loads + cpu.stores) / 1e6,
+            static_cast<double>(cpu.fetch_line_accesses) / 1e6,
+        };
+        for (const char *name :
+             {"dl1", "dl2", "il1", "il2", "ul3", "ul4", "ul5"}) {
+            double hit_rate = 0.0;
+            for (const CacheSnapshot &snap : r.caches) {
+                if (snap.name == name)
+                    hit_rate = 100.0 * snap.hit_rate;
+            }
+            row.push_back(hit_rate);
+        }
+        for (double &value : row)
+            value = sweepCell(r, value);
+        bench.addAppRow(a, row, 2);
     }
-
-    for (std::size_t a = 0; a < opts.apps.size(); ++a)
-        table.addRow(ExperimentOptions::shortName(opts.apps[a]), rows[a],
-                     2);
-    table.addMeanRow("Arith. Mean", 2);
-    table.print(opts.csv);
-    return 0;
+    return bench.finish(2);
 }

@@ -2,7 +2,7 @@
  * @file
  * Shared skeleton of the sweep-table benches.
  *
- * Nearly every bench in this directory has the same spine: read
+ * Every sweep bench in this directory has the same spine: read
  * ExperimentOptions from the environment, name the run for the
  * manifest, build a Table, register (label, hierarchy, spec) variants,
  * run the apps x variants grid through runSweep, emit one row per app
@@ -50,11 +50,14 @@ class SweepTableBench
     const ExperimentOptions &opts() const { return opts_; }
     Table &table() { return table_; }
 
-    /** Register one sweep variant (a table column group). */
+    /** Register one sweep variant (a table column group). Labels must
+     *  be unique: they key the manifest's sweep.<label>.<app> block. */
     void addVariant(const std::string &label, const HierarchyParams &h,
-                    std::optional<MnmSpec> spec = std::nullopt)
+                    std::optional<MnmSpec> spec = std::nullopt,
+                    CellModel model = CellModel::Functional,
+                    bool warm = true)
     {
-        variants_.push_back({label, h, std::move(spec)});
+        variants_.push_back({label, h, std::move(spec), model, warm});
     }
 
     /** Header "app" + one column per variant label, starting at
@@ -73,13 +76,13 @@ class SweepTableBench
     }
 
     /** Run the full apps x variants grid (app-major, like the cell
-     *  layout makeGridCells produces). */
-    void runGrid()
+     *  layout makeGridCells produces), @p instructions per cell. */
+    void runGrid(std::uint64_t instructions)
     {
         results_ = runSweep(
-            makeGridCells(opts_.apps, variants_, opts_.instructions),
-            opts_);
+            makeGridCells(opts_.apps, variants_, instructions), opts_);
     }
+    void runGrid() { runGrid(opts_.instructions); }
 
     std::size_t numApps() const { return opts_.apps.size(); }
     std::size_t numVariants() const { return variants_.size(); }

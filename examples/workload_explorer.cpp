@@ -14,45 +14,10 @@
 #include "core/presets.hh"
 #include "obs/manifest.hh"
 #include "sim/config.hh"
-#include "sim/memory_sim.hh"
 #include "sim/runner.hh"
-#include "trace/spec2000.hh"
-#include "util/logging.hh"
 #include "util/table.hh"
 
 using namespace mnm;
-
-namespace
-{
-
-struct Candidate
-{
-    const char *label;
-    MnmSpec spec;
-};
-
-/** What one candidate's cell reports back. */
-struct Sizing
-{
-    double coverage = 0.0;
-    std::uint64_t storage_bits = 0;
-};
-
-Sizing
-runCoverage(const MnmSpec &spec, const std::string &app,
-            std::uint64_t instructions)
-{
-    MemorySimulator sim(paperHierarchy(5), spec);
-    Sizing sizing;
-    sizing.storage_bits = sim.mnm()->storageBits();
-    auto workload = makeSpecWorkload(app);
-    sim.run(*workload, instructions / 10); // warm-up
-    MemSimResult r = sim.run(*workload, instructions);
-    sizing.coverage = r.coverage.coverage();
-    return sizing;
-}
-
-} // anonymous namespace
 
 int
 main(int argc, char **argv)
@@ -62,44 +27,32 @@ main(int argc, char **argv)
     std::uint64_t instructions =
         argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 400000;
 
-    std::vector<Candidate> candidates;
+    std::vector<MnmSpec> specs;
     for (std::uint32_t bits : {8u, 10u, 12u, 14u}) {
-        for (std::uint32_t tables : {1u, 2u, 3u}) {
-            char label[32];
-            std::snprintf(label, sizeof(label), "TMNM_%ux%u", bits,
-                          tables);
-            candidates.push_back(
-                {"", makeUniformSpec(TmnmSpec{bits, tables, 3})});
-            candidates.back().label = candidates.back().spec.name.c_str();
-        }
+        for (std::uint32_t tables : {1u, 2u, 3u})
+            specs.push_back(makeUniformSpec(TmnmSpec{bits, tables, 3}));
     }
     for (std::uint32_t regs : {2u, 4u, 8u, 16u}) {
-        candidates.push_back({"", makeUniformSpec(CmnmSpec{
-                                      regs, 10, 3,
-                                      CmnmMaskPolicy::Monotone})});
-        candidates.back().label = candidates.back().spec.name.c_str();
+        specs.push_back(makeUniformSpec(
+            CmnmSpec{regs, 10, 3, CmnmMaskPolicy::Monotone}));
     }
+    std::vector<SweepCell> cells;
+    for (const MnmSpec &spec : specs)
+        cells.push_back({app, paperHierarchy(5), spec, instructions,
+                         spec.name});
 
     Table table("MNM sizing study for " + app);
     table.setHeader({"config", "storage[KB]", "coverage%",
                      "coverage%/KB"});
-    ParallelRunner runner(jobsFromEnv());
-    std::vector<Sizing> sizings;
-    try {
-        sizings = runner.map<Sizing>(
-            candidates.size(), [&](std::size_t i) {
-                return runCoverage(candidates[i].spec, app,
-                                   instructions);
-            });
-    } catch (const SweepFailure &e) {
-        fatal("%s", e.what());
-    }
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const Sizing &s = sizings[i];
-        double kb = static_cast<double>(s.storage_bits) / 8.0 / 1024.0;
-        table.addRow(candidates[i].spec.name,
-                     {kb, 100.0 * s.coverage,
-                      kb > 0 ? 100.0 * s.coverage / kb : 0.0},
+    std::vector<MemSimResult> results =
+        runSweep(cells, ExperimentOptions::fromEnv());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const MemSimResult &r = results[i];
+        double kb = static_cast<double>(r.mnm_storage_bits) / 8.0 / 1024.0;
+        double coverage = r.coverage.coverage();
+        table.addRow(cells[i].label,
+                     {sweepCell(r, kb), sweepCell(r, 100.0 * coverage),
+                      sweepCell(r, kb > 0 ? 100.0 * coverage / kb : 0.0)},
                      2);
     }
     table.print();
@@ -107,5 +60,5 @@ main(int argc, char **argv)
     std::puts("Reading the last column: coverage per kilobyte of MNM "
               "state -- the knee of the curve is where the paper's "
               "chosen configurations sit.");
-    return 0;
+    return sweepExitCode();
 }

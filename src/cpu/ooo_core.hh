@@ -81,6 +81,8 @@ struct CpuRunStats
     Cycles data_access_cycles = 0;
     std::uint64_t data_accesses = 0;
 
+    bool operator==(const CpuRunStats &) const = default;
+
     double ipc() const
     {
         return cycles ? static_cast<double>(instructions) /

@@ -5,11 +5,18 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 
+#include "cache/tlb.hh"
+#include "core/tlb_filter.hh"
+#include "cpu/cycle_core.hh"
 #include "obs/manifest.hh"
+#include "sim/config.hh"
 #include "sim/runner.hh"
 #include "trace/spec2000.hh"
+#include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace mnm
@@ -141,7 +148,7 @@ ExperimentOptions::shortName(const std::string &app)
 MemSimResult
 runFunctional(const HierarchyParams &hierarchy,
               const std::optional<MnmSpec> &mnm, const std::string &app,
-              std::uint64_t instructions)
+              std::uint64_t instructions, bool warm)
 {
     MemorySimulator sim(hierarchy, mnm);
     // CI escape hatch: run every cell through the reference paths --
@@ -157,10 +164,131 @@ runFunctional(const HierarchyParams &hierarchy,
         sim.setReferenceFeed(true);
     }
     auto workload = makeSpecWorkload(app);
-    std::uint64_t warmup = instructions / 10;
+    std::uint64_t warmup = warm ? instructions / 10 : 0;
     if (warmup)
         sim.run(*workload, warmup); // discard accounting; warm state
     return sim.run(*workload, instructions);
+}
+
+namespace
+{
+
+/** A timing-core cell: the paper's core for the cell's level count on
+ *  a fresh hierarchy, warm-up window (when warm) then measured window. */
+template <typename Core>
+MemSimResult
+runCore(const SweepCell &cell)
+{
+    CacheHierarchy hierarchy(cell.hierarchy);
+    std::unique_ptr<MnmUnit> mnm;
+    if (cell.mnm)
+        mnm = std::make_unique<MnmUnit>(*cell.mnm, hierarchy);
+    Core core(paperCpu(static_cast<int>(cell.hierarchy.levels.size())),
+              hierarchy, mnm.get());
+    auto workload = makeSpecWorkload(cell.app);
+    std::uint64_t warmup = cell.warm ? cell.instructions / 10 : 0;
+    if (warmup)
+        core.run(*workload, warmup);
+
+    MemSimResult result;
+    result.cpu = core.run(*workload, cell.instructions);
+    result.instructions = result.cpu.instructions;
+    result.caches = snapshotCaches(hierarchy);
+    if (mnm) {
+        result.soundness_violations = mnm->soundnessViolations();
+        result.mnm_storage_bits = mnm->storageBits();
+    }
+    return result;
+}
+
+/** A DTLB cell: the data-address stream through a 64-entry fully
+ *  associative DTLB, bare or behind the spec's single filter. */
+MemSimResult
+runDtlb(const SweepCell &cell)
+{
+    TlbParams params;
+    params.name = "dtlb";
+    params.entries = 64;
+    params.associativity = 0;
+    Tlb tlb(params);
+    std::unique_ptr<TlbFilterUnit> filter;
+    if (cell.mnm) {
+        const std::vector<LevelFilters> &lf = cell.mnm->level_filters;
+        if (cell.mnm->rmnm || cell.mnm->perfect || lf.size() != 1 ||
+            lf[0].filters.size() != 1) {
+            throw std::invalid_argument(
+                "a DTLB cell takes an MNM spec with exactly one filter, "
+                "not " + cell.mnm->name);
+        }
+        filter = std::make_unique<TlbFilterUnit>(lf[0].filters[0], tlb);
+    }
+
+    auto workload = makeSpecWorkload(cell.app);
+    auto batch = std::make_unique<InstructionBatch>();
+    MemSimResult result;
+    auto window = [&](std::uint64_t count, bool measured) {
+        forEachRecord(*workload, count, *batch, [&](const Instruction &i) {
+            pollCellDeadline();
+            if (!i.isMem())
+                return;
+            Cycles cycles = filter ? filter->translate(i.mem_addr)
+                                   : tlb.translate(i.mem_addr);
+            if (measured) {
+                ++result.requests;
+                result.total_access_cycles += cycles;
+            }
+        });
+    };
+    if (cell.warm)
+        window(cell.instructions / 10, false);
+    // Counters are cumulative; the warm-up's share is subtracted.
+    const TlbStats before = tlb.stats();
+    const std::uint64_t id_before = filter ? filter->identified() : 0;
+    const std::uint64_t un_before = filter ? filter->unidentified() : 0;
+    const PicoJoules pj_before = filter ? filter->consumedEnergyPj() : 0.0;
+    window(cell.instructions, true);
+
+    const TlbStats &after = tlb.stats();
+    CacheSnapshot snap;
+    snap.name = params.name;
+    snap.level = 1;
+    snap.accesses = after.accesses.value() - before.accesses.value();
+    snap.hits = after.hits.value() - before.hits.value();
+    snap.misses = after.misses.value() - before.misses.value();
+    snap.bypasses = after.bypasses.value() - before.bypasses.value();
+    snap.hit_rate = ratio(static_cast<double>(snap.hits),
+                          static_cast<double>(snap.accesses));
+    result.caches.push_back(snap);
+    result.instructions = cell.instructions;
+    if (filter) {
+        std::array<std::uint64_t, CoverageTracker::max_levels> id_at{};
+        std::array<std::uint64_t, CoverageTracker::max_levels> un_at{};
+        id_at[1] = filter->identified() - id_before;
+        un_at[1] = filter->unidentified() - un_before;
+        result.coverage.restore(id_at[1], un_at[1], id_at, un_at);
+        result.energy.mnm_pj = filter->consumedEnergyPj() - pj_before;
+        result.soundness_violations = filter->soundnessViolations();
+    }
+    return result;
+}
+
+} // anonymous namespace
+
+MemSimResult
+runCell(const SweepCell &cell)
+{
+    switch (cell.model) {
+    case CellModel::Functional:
+        break;
+    case CellModel::OooCore:
+        return runCore<OooCore>(cell);
+    case CellModel::CycleCore:
+        return runCore<CycleOooCore>(cell);
+    case CellModel::Dtlb:
+        return runDtlb(cell);
+    }
+    return runFunctional(cell.hierarchy, cell.mnm, cell.app,
+                         cell.instructions, cell.warm);
 }
 
 } // namespace mnm

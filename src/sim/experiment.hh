@@ -126,8 +126,8 @@ struct ExperimentOptions
 
 /**
  * Run one workload through a fresh functional simulator: a warm-up
- * window (10% of the budget, accounting discarded) followed by the
- * measured window.
+ * window (10% of the budget, accounting discarded; skipped when
+ * @p warm is false) followed by the measured window.
  *
  * MNM_REFERENCE=1 forces the reference paths: the single-step loop
  * with virtual verdict dispatch instead of the batched request loop
@@ -138,7 +138,7 @@ struct ExperimentOptions
 MemSimResult runFunctional(const HierarchyParams &hierarchy,
                            const std::optional<MnmSpec> &mnm,
                            const std::string &app,
-                           std::uint64_t instructions);
+                           std::uint64_t instructions, bool warm = true);
 
 } // namespace mnm
 

@@ -29,6 +29,26 @@ template <bool with_prof>
 using ProfScope =
     std::conditional_t<with_prof, PhaseScope, NoPhaseScope>;
 
+std::vector<CacheSnapshot>
+snapshotCaches(const CacheHierarchy &hierarchy)
+{
+    std::vector<CacheSnapshot> caches;
+    for (CacheId id = 0; id < hierarchy.numCaches(); ++id) {
+        const Cache &c = hierarchy.cache(id);
+        CacheSnapshot snap;
+        snap.name = c.params().name;
+        snap.level = hierarchy.levelOf(id);
+        snap.accesses = c.stats().accesses.value();
+        snap.hits = c.stats().hits.value();
+        snap.mru_hits = c.stats().mru_hits.value();
+        snap.misses = c.stats().misses.value();
+        snap.bypasses = c.stats().bypasses.value();
+        snap.hit_rate = c.stats().hitRate();
+        caches.push_back(snap);
+    }
+    return caches;
+}
+
 MemorySimulator::MemorySimulator(const HierarchyParams &hierarchy_params,
                                  std::optional<MnmSpec> mnm_spec,
                                  std::uint64_t seed)
@@ -488,19 +508,7 @@ MemorySimulator::run(WorkloadGenerator &workload,
             result.decisions.setForbidden(l, mnm_->violationsAtLevel(l));
     }
 
-    for (CacheId id = 0; id < hierarchy_.numCaches(); ++id) {
-        const Cache &c = hierarchy_.cache(id);
-        CacheSnapshot snap;
-        snap.name = c.params().name;
-        snap.level = hierarchy_.levelOf(id);
-        snap.accesses = c.stats().accesses.value();
-        snap.hits = c.stats().hits.value();
-        snap.mru_hits = c.stats().mru_hits.value();
-        snap.misses = c.stats().misses.value();
-        snap.bypasses = c.stats().bypasses.value();
-        snap.hit_rate = c.stats().hitRate();
-        result.caches.push_back(snap);
-    }
+    result.caches = snapshotCaches(hierarchy_);
     return result;
 }
 

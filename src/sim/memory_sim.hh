@@ -26,6 +26,7 @@
 #include "cache/hierarchy.hh"
 #include "core/coverage.hh"
 #include "core/mnm_unit.hh"
+#include "cpu/ooo_core.hh"
 #include "obs/confusion.hh"
 #include "power/sram_model.hh"
 #include "trace/workload.hh"
@@ -68,7 +69,12 @@ struct CacheSnapshot
     double hit_rate = 0.0;
 };
 
-/** Everything a functional run produces. */
+/** One snapshot per cache of @p hierarchy, in CacheId order. */
+std::vector<CacheSnapshot> snapshotCaches(const CacheHierarchy &hierarchy);
+
+/** Everything a sweep cell produces: a functional run fills every
+ *  field but cpu; a timing-core or DTLB cell fills the subset
+ *  runCell() (sim/runner.hh) documents. */
 struct MemSimResult
 {
     std::uint64_t instructions = 0;
@@ -90,6 +96,9 @@ struct MemSimResult
     std::uint64_t filter_anomalies = 0;
     std::uint64_t mnm_storage_bits = 0;
     std::vector<CacheSnapshot> caches;
+    /** Timing-core statistics of the measured window; all zero for
+     *  functional and DTLB cells. */
+    CpuRunStats cpu;
 
     /** Set by runSweep() when this cell's simulation failed (after all
      *  retries). Every counter above is then meaningless; benches must

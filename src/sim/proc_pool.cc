@@ -267,8 +267,7 @@ workerChildLoop(const std::vector<SweepCell> &cells,
             if (prof)
                 prof_before = threadPhaseTotals();
             const std::uint64_t start_us = steadyNowUs();
-            MemSimResult result = runFunctional(
-                cell.hierarchy, cell.mnm, cell.app, cell.instructions);
+            MemSimResult result = runCell(cell);
             const std::uint64_t dur_us = steadyNowUs() - start_us;
             response = "{\"index\":" + std::to_string(index) +
                        ",\"dur_us\":" + std::to_string(dur_us);

@@ -209,6 +209,13 @@ cellFingerprint(const SweepCell &cell)
     h.text(cell.app);
     h.text(cell.label);
     h.u64(cell.instructions);
+    // Hashed only off the functional warm default, so every functional
+    // cell keeps the fingerprint it had before cells carried a model.
+    if (cell.model != CellModel::Functional || !cell.warm) {
+        h.text("model");
+        h.u64(static_cast<std::uint64_t>(cell.model));
+        h.flag(cell.warm);
+    }
 
     const HierarchyParams &hp = cell.hierarchy;
     h.u64(hp.levels.size());
@@ -324,6 +331,23 @@ writeMemSimResult(const MemSimResult &result)
             json.endObject();
         }
         json.endArray();
+
+        // Timing cells only: functional records stay byte-identical.
+        if (result.cpu != CpuRunStats{}) {
+            const CpuRunStats &cpu = result.cpu;
+            json.key("cpu");
+            json.beginObject();
+            json.field("instructions", cpu.instructions);
+            json.field("cycles", cpu.cycles);
+            json.field("loads", cpu.loads);
+            json.field("stores", cpu.stores);
+            json.field("branches", cpu.branches);
+            json.field("mispredicts", cpu.mispredicts);
+            json.field("fetch_line_accesses", cpu.fetch_line_accesses);
+            json.field("data_access_cycles", cpu.data_access_cycles);
+            json.field("data_accesses", cpu.data_accesses);
+            json.endObject();
+        }
         json.endObject();
     }
     return out.str();
@@ -413,6 +437,21 @@ readMemSimResult(const JsonValue &value)
         snap.name = *name;
         snap.level = static_cast<std::uint32_t>(level);
         result.caches.push_back(std::move(snap));
+    }
+
+    if (const JsonValue *cpu = value.find("cpu")) {
+        CpuRunStats &c = result.cpu;
+        if (!cpu->isObject() || !need(*cpu, "instructions", c.instructions) ||
+            !need(*cpu, "cycles", c.cycles) ||
+            !need(*cpu, "loads", c.loads) ||
+            !need(*cpu, "stores", c.stores) ||
+            !need(*cpu, "branches", c.branches) ||
+            !need(*cpu, "mispredicts", c.mispredicts) ||
+            !need(*cpu, "fetch_line_accesses", c.fetch_line_accesses) ||
+            !need(*cpu, "data_access_cycles", c.data_access_cycles) ||
+            !need(*cpu, "data_accesses", c.data_accesses)) {
+            return std::nullopt;
+        }
     }
     return result;
 }

@@ -8,8 +8,9 @@
  * this layer removes. When MNM_CHECKPOINT=<path> is set, runSweep()
  * appends one JSON line per *completed* cell -- keyed by a
  * deterministic fingerprint of everything that defines the cell's
- * result (workload, hierarchy, MNM spec, instruction budget) -- and on
- * the next run replays matching entries instead of re-simulating them.
+ * result (workload, hierarchy, MNM spec, model, instruction budget) --
+ * and on the next run replays matching entries instead of
+ * re-simulating them.
  * Because the simulator itself is deterministic, a replayed result is
  * bit-identical to a recomputed one, so the resumed run's tables are
  * byte-identical to an uninterrupted run's.
@@ -59,16 +60,20 @@ namespace mnm
 
 /**
  * Deterministic fingerprint of one sweep cell: FNV-1a 64 over a
- * canonical text encoding of (app, label, instructions, every
- * HierarchyParams field, every MnmSpec field), rendered as 16 lower-
- * case hex digits. Two cells collide only if they would produce the
- * same result anyway (modulo a 2^-64 hash accident).
+ * canonical text encoding of (app, label, instructions, model and warm
+ * flag, every HierarchyParams field, every MnmSpec field), rendered as
+ * 16 lower-case hex digits. The model and warm flag enter the encoding
+ * only when they differ from a warm Functional cell, so functional
+ * fingerprints (and journals holding them) predate and survive the
+ * cell model. Two cells collide only if they would produce the same
+ * result anyway (modulo a 2^-64 hash accident).
  */
 std::string cellFingerprint(const SweepCell &cell);
 
 /** Serialize @p result as one compact (single-line) JSON object. All
  *  counters are written exactly; doubles use the shortest round-trip
- *  form, so deserializing reproduces bit-identical values. */
+ *  form, so deserializing reproduces bit-identical values. The "cpu"
+ *  block is written only when some CpuRunStats field is non-zero. */
 std::string writeMemSimResult(const MemSimResult &result);
 
 /** Inverse of writeMemSimResult(). nullopt when @p text is not a

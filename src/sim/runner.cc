@@ -63,25 +63,6 @@ jobsFromEnv()
     return static_cast<unsigned>(v);
 }
 
-SweepFailure::SweepFailure(std::vector<Failure> failures)
-    : std::runtime_error(summarize(failures)),
-      failures_(std::move(failures))
-{
-}
-
-std::string
-SweepFailure::summarize(const std::vector<Failure> &failures)
-{
-    if (failures.empty())
-        return "sweep failure (no recorded cells)";
-    std::string out = std::to_string(failures.size()) +
-                      (failures.size() == 1 ? " task failed: "
-                                            : " tasks failed; first: ") +
-                      failures.front().label + ": " +
-                      failures.front().message;
-    return out;
-}
-
 std::vector<SweepCell>
 makeGridCells(const std::vector<std::string> &apps,
               const std::vector<SweepVariant> &variants,
@@ -92,7 +73,8 @@ makeGridCells(const std::vector<std::string> &apps,
     for (const std::string &app : apps) {
         for (const SweepVariant &variant : variants) {
             cells.push_back({app, variant.hierarchy, variant.mnm,
-                             instructions, variant.label});
+                             instructions, variant.label, variant.model,
+                             variant.warm});
         }
     }
     return cells;
@@ -152,31 +134,6 @@ ParallelRunner::run(std::size_t count,
         }
     } // joins every worker; errors[] is complete past this point
     return errors;
-}
-
-void
-ParallelRunner::throwIfAny(
-    const std::vector<std::exception_ptr> &errors,
-    const std::function<std::string(std::size_t)> &label)
-{
-    std::vector<SweepFailure::Failure> failures;
-    for (std::size_t i = 0; i < errors.size(); ++i) {
-        if (!errors[i])
-            continue;
-        SweepFailure::Failure failure;
-        failure.index = i;
-        failure.label = label ? label(i) : "task " + std::to_string(i);
-        try {
-            std::rethrow_exception(errors[i]);
-        } catch (const std::exception &e) {
-            failure.message = e.what();
-        } catch (...) {
-            failure.message = "non-standard exception";
-        }
-        failures.push_back(std::move(failure));
-    }
-    if (!failures.empty())
-        throw SweepFailure(std::move(failures));
 }
 
 unsigned
@@ -253,6 +210,8 @@ foldSweepTelemetry(const std::vector<SweepCell> &cells,
             stats.addCounter(prefix + ".requests", r.requests);
             stats.addCounter(prefix + ".memory_accesses",
                              r.memory_accesses);
+            if (r.cpu.cycles)
+                stats.addCounter(prefix + ".cycles", r.cpu.cycles);
             if (cell.mnm) {
                 stats.addCounter(prefix + ".soundness_violations",
                                  r.soundness_violations);
@@ -471,8 +430,7 @@ runSweep(const std::vector<SweepCell> &cells,
                 }
                 if (opts.cell_timeout_s > 0.0)
                     armCellDeadline(opts.cell_timeout_s);
-                results[i] = runFunctional(cell.hierarchy, cell.mnm,
-                                           cell.app, cell.instructions);
+                results[i] = runCell(cell);
                 disarmCellDeadline();
                 break;
             } catch (const CellTimeoutError &) {

@@ -4,17 +4,18 @@
  *
  * Every bench reproduces a paper table/figure by sweeping the twenty
  * SPEC2000-like workloads over a handful of machine/MNM variants. Each
- * (workload, hierarchy, MNM, budget) point — a SweepCell — is an
- * independent simulation on a fresh MemorySimulator, so the grid is
- * embarrassingly parallel. The ParallelRunner executes cells on a
- * fixed-size std::jthread pool; results land in a pre-sized output
- * vector indexed by cell, so aggregation order (and therefore every
- * printed table) is deterministic and byte-identical to the serial
- * path.
+ * (workload, hierarchy, MNM, model, budget) point -- a SweepCell -- is
+ * an independent simulation on fresh state, so the grid is
+ * embarrassingly parallel. runSweep() is the one place benches and
+ * examples run cells; it executes them on a fixed-size std::jthread
+ * pool (ParallelRunner) or a forked process pool, and results land in
+ * a pre-sized output vector indexed by cell, so aggregation order (and
+ * therefore every printed table) is deterministic and byte-identical
+ * to the serial path.
  *
  * Concurrency model: no simulator state is shared between cells. Each
  * worker claims the next cell off an atomic counter, builds its own
- * MemorySimulator/workload, and writes only results[i]. The only shared
+ * simulator/workload, and writes only results[i]. The only shared
  * sinks are the logging mutex (util/logging) and the per-slot
  * std::exception_ptr array; a throwing cell fails its own slot and the
  * pool keeps draining.
@@ -31,7 +32,6 @@
 #include <functional>
 #include <limits>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,6 +39,20 @@
 
 namespace mnm
 {
+
+/** What simulates a sweep cell (runCell dispatches on it). */
+enum class CellModel
+{
+    /** MemorySimulator: access time, energy, coverage (Figs 2-14, 16). */
+    Functional,
+    /** OooCore, the dataflow timing core (Fig 15, Table 2). */
+    OooCore,
+    /** CycleOooCore, the cycle-driven reference core. */
+    CycleCore,
+    /** The 64-entry DTLB of the Section 4.5 extension, bare or behind
+     *  the spec's single filter. */
+    Dtlb,
+};
 
 /** One independent point of a sweep grid. */
 struct SweepCell
@@ -48,6 +62,10 @@ struct SweepCell
     std::optional<MnmSpec> mnm;      //!< optional MNM shielding it
     std::uint64_t instructions = 0;  //!< measured-window budget
     std::string label;               //!< variant tag for progress/errors
+    CellModel model = CellModel::Functional;
+    /** Run a warm-up window of instructions/10 (accounting discarded)
+     *  before the measured one. */
+    bool warm = true;
 };
 
 /** One machine/MNM variant, to be crossed with the workload list. */
@@ -56,7 +74,24 @@ struct SweepVariant
     std::string label;
     HierarchyParams hierarchy;
     std::optional<MnmSpec> mnm;
+    CellModel model = CellModel::Functional;
+    bool warm = true;
 };
+
+/**
+ * Simulate one cell on fresh state, on the calling thread.
+ *
+ *  - Functional: runFunctional() (warm-up unless !cell.warm).
+ *  - OooCore / CycleCore: the core paperCpu(levels) on cell.hierarchy,
+ *    behind cell.mnm. Fills cpu, instructions, caches,
+ *    soundness_violations and mnm_storage_bits.
+ *  - Dtlb: the data-address stream through a 64-entry fully
+ *    associative DTLB, behind the single filter of cell.mnm when set.
+ *    Reports through requests (translations), total_access_cycles,
+ *    caches[0] (the DTLB), coverage (level 1), energy.mnm_pj (filter
+ *    energy) and soundness_violations.
+ */
+MemSimResult runCell(const SweepCell &cell);
 
 /**
  * Cross @p apps with @p variants into an app-major cell grid: the cell
@@ -118,36 +153,9 @@ struct SweepCellTiming
 };
 
 /**
- * Aggregate failure of a parallel task set: carries every failed
- * index's label and message, not just the first, so one run of a
- * 400-cell sweep reports all broken cells instead of the lowest index.
- * what() summarizes the count and first failure.
- */
-class SweepFailure : public std::runtime_error
-{
-  public:
-    /** One failed task. */
-    struct Failure
-    {
-        std::size_t index = 0;
-        std::string label;   //!< task description ("164.gzip · RMNM_512_2")
-        std::string message; //!< the captured exception's what()
-    };
-
-    explicit SweepFailure(std::vector<Failure> failures);
-
-    const std::vector<Failure> &failures() const { return failures_; }
-
-  private:
-    static std::string summarize(const std::vector<Failure> &failures);
-
-    std::vector<Failure> failures_;
-};
-
-/**
- * Fixed-size worker pool executing an indexed task set. The generic
- * substrate under runSweep(); benches whose unit of work is not a
- * functional-simulator run (timing cores, TLB loops) use it directly.
+ * Fixed-size worker pool executing an indexed task set: the substrate
+ * under runSweep(). Benches and examples do not use it directly; they
+ * describe their work as SweepCells.
  */
 class ParallelRunner
 {
@@ -172,31 +180,6 @@ class ParallelRunner
         const std::function<void(std::size_t)> &task) const;
 
     /**
-     * Convenience: out[i] = fn(i) with results pre-sized so output
-     * order is index order regardless of completion order. Throws one
-     * SweepFailure aggregating every captured exception after the pool
-     * has drained.
-     */
-    template <typename T, typename F>
-    std::vector<T>
-    map(std::size_t count, F &&fn) const
-    {
-        std::vector<T> out(count);
-        throwIfAny(run(count,
-                       [&](std::size_t i) { out[i] = fn(i); }));
-        return out;
-    }
-
-    /**
-     * Throw a SweepFailure carrying every captured error (with
-     * @p label(i) naming each failed task, "task <i>" when null);
-     * a no-op when all slots are clean.
-     */
-    static void throwIfAny(
-        const std::vector<std::exception_ptr> &errors,
-        const std::function<std::string(std::size_t)> &label = nullptr);
-
-    /**
      * Index of the pool worker executing the current task: 0..jobs-1
      * inside run(), 0 on the serial path and outside any pool. Used by
      * the sweep telemetry to lane trace events per worker.
@@ -208,7 +191,7 @@ class ParallelRunner
 };
 
 /**
- * Run every cell through runFunctional() on @p opts.jobs workers.
+ * Run every cell through runCell() on @p opts.jobs workers.
  * Results are indexed like @p cells. Per-cell completion (plus an ETA
  * projected from cells done over elapsed time) is reported via
  * progress() when @p opts.progress (MNM_PROGRESS=1).
@@ -243,7 +226,8 @@ class ParallelRunner
  *
  * Telemetry: after the pool drains, each completed cell's simulation
  * metrics (per-level decision confusion matrix, coverage counts,
- * traffic) are folded into globalStats() under "sweep.<label>.<app>.*"
+ * traffic, and simulated cycles for timing cells) are folded into
+ * globalStats() under "sweep.<label>.<app>.*"
  * in cell-index order -- identical at any MNM_JOBS value -- and
  * wall-clock telemetry (per-cell wall time, queue delay, worker
  * utilization) under "runner.*", which comparisons must skip. When
@@ -266,6 +250,14 @@ inline double
 sweepCell(const MemSimResult &r, double value)
 {
     return r.failed ? std::numeric_limits<double>::quiet_NaN() : value;
+}
+
+/** sweepCell for a value read from two cells (a baseline-relative
+ *  column): the gap marker when either @p base or @p r failed. */
+inline double
+sweepCell(const MemSimResult &base, const MemSimResult &r, double value)
+{
+    return sweepCell(base.failed ? base : r, value);
 }
 
 /**

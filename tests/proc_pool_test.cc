@@ -69,7 +69,16 @@ expectBitIdentical(const std::vector<SweepCell> &cells,
 
 TEST(ProcPoolTest, MatchesSerialBitIdentical)
 {
+    // Every cell model crosses the worker pipe: a warm timing core
+    // behind HMNM4, a cold cycle core, and a filtered DTLB.
     std::vector<SweepCell> cells = smallGrid();
+    cells.push_back({"181.mcf", paperHierarchy(5), makeHmnmSpec(4), 20000,
+                     "ooo", CellModel::OooCore});
+    cells.push_back({"164.gzip", paperHierarchy(3), std::nullopt, 20000,
+                     "cyc", CellModel::CycleCore, /*warm=*/false});
+    cells.push_back({"181.mcf", paperHierarchy(5),
+                     mnmSpecByName("TMNM_8x2"), 40000, "dtlb",
+                     CellModel::Dtlb});
     std::vector<MemSimResult> reference = serialReference(cells);
 
     ExperimentOptions pool;

@@ -7,6 +7,7 @@
  * an uninterrupted run exactly.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -38,6 +39,33 @@ smallGrid()
         {"HMNM2", paperHierarchy(5), makeHmnmSpec(2)},
     };
     return makeGridCells({"164.gzip", "181.mcf"}, variants, 40000);
+}
+
+/** One cell of every non-functional model: a warm timing core behind
+ *  HMNM4, a cold cycle core, and a DTLB behind TMNM_8x2. */
+std::vector<SweepCell>
+modelCells(const std::string &app)
+{
+    return {
+        {app, paperHierarchy(5), makeHmnmSpec(4), 20000, "ooo",
+         CellModel::OooCore},
+        {app, paperHierarchy(3), std::nullopt, 20000, "cyc",
+         CellModel::CycleCore, /*warm=*/false},
+        {app, paperHierarchy(5), mnmSpecByName("TMNM_8x2"), 40000, "dtlb",
+         CellModel::Dtlb},
+    };
+}
+
+/** smallGrid() plus modelCells() for both of its apps. */
+std::vector<SweepCell>
+mixedGrid()
+{
+    std::vector<SweepCell> cells = smallGrid();
+    for (const char *app : {"164.gzip", "181.mcf"}) {
+        for (SweepCell &cell : modelCells(app))
+            cells.push_back(std::move(cell));
+    }
+    return cells;
 }
 
 /** Fresh temp-file path (not yet created). */
@@ -90,6 +118,34 @@ TEST(FingerprintTest, SensitiveToEveryCellIngredient)
     other = base;
     other.mnm->oracle_check = !other.mnm->oracle_check;
     EXPECT_NE(cellFingerprint(other), fp);
+
+    other = base;
+    other.model = CellModel::OooCore;
+    EXPECT_NE(cellFingerprint(other), fp);
+
+    SweepCell timing = other;
+    other.model = CellModel::CycleCore;
+    EXPECT_NE(cellFingerprint(other), cellFingerprint(timing));
+
+    other.model = CellModel::Dtlb;
+    EXPECT_NE(cellFingerprint(other), cellFingerprint(timing));
+
+    other = base;
+    other.warm = false;
+    EXPECT_NE(cellFingerprint(other), fp);
+
+    other = timing;
+    other.warm = false;
+    EXPECT_NE(cellFingerprint(other), cellFingerprint(timing));
+}
+
+TEST(FingerprintTest, FunctionalFingerprintPredatesCellModels)
+{
+    // Computed before cells carried a model or warm flag: a warm
+    // functional cell must hash exactly as it did, so older journals
+    // still resume.
+    SweepCell cell = smallGrid()[1]; // gzip · HMNM2
+    EXPECT_EQ(cellFingerprint(cell), "8d32110317bf885b");
 }
 
 TEST(FingerprintTest, IndependentOfExecutionKnobs)
@@ -97,7 +153,7 @@ TEST(FingerprintTest, IndependentOfExecutionKnobs)
     // Same cells, regardless of how the sweep will be executed: the
     // fingerprint must let a parallel-written journal resume a serial
     // run (and any retry/timeout setting).
-    std::vector<SweepCell> cells = smallGrid();
+    std::vector<SweepCell> cells = mixedGrid();
     std::vector<std::string> fps;
     for (const SweepCell &cell : cells)
         fps.push_back(cellFingerprint(cell));
@@ -112,9 +168,10 @@ TEST(RecoveryTest, ResultRoundTripsByteIdentical)
 {
     ExperimentOptions opts;
     opts.jobs = 1;
-    std::vector<MemSimResult> results = runSweep(smallGrid(), opts);
+    std::vector<SweepCell> cells = mixedGrid();
+    std::vector<MemSimResult> results = runSweep(cells, opts);
     for (std::size_t i = 0; i < results.size(); ++i) {
-        SCOPED_TRACE("cell " + std::to_string(i));
+        SCOPED_TRACE(cells[i].app + " · " + cells[i].label);
         std::string text = writeMemSimResult(results[i]);
         std::optional<MemSimResult> back = readMemSimResult(text);
         ASSERT_TRUE(back.has_value());
@@ -127,6 +184,13 @@ TEST(RecoveryTest, ResultRoundTripsByteIdentical)
         EXPECT_EQ(back->coverage.identified(),
                   results[i].coverage.identified());
         ASSERT_EQ(back->caches.size(), results[i].caches.size());
+        EXPECT_EQ(back->cpu, results[i].cpu);
+        // Only timing cells write a "cpu" block; functional and DTLB
+        // records keep their pre-timing-cell bytes.
+        const bool timing = cells[i].model == CellModel::OooCore ||
+                            cells[i].model == CellModel::CycleCore;
+        EXPECT_EQ(text.find("\"cpu\"") != std::string::npos, timing);
+        EXPECT_EQ(results[i].cpu.cycles != 0, timing);
     }
 }
 
@@ -319,7 +383,11 @@ TEST(JournalTest, MissingFileAndWrongSchema)
 
 TEST(RecoveryTest, InterruptedSweepResumesByteIdentical)
 {
-    std::vector<SweepCell> cells = smallGrid();
+    std::vector<SweepCell> cells = mixedGrid();
+    const std::size_t mcf_cells = static_cast<std::size_t>(
+        std::count_if(cells.begin(), cells.end(), [](const SweepCell &c) {
+            return c.app == "181.mcf";
+        }));
 
     // Reference: one uninterrupted serial run.
     ExperimentOptions serial;
@@ -345,8 +413,9 @@ TEST(RecoveryTest, InterruptedSweepResumesByteIdentical)
     std::size_t failed = 0;
     for (const MemSimResult &r : first)
         failed += r.failed ? 1 : 0;
-    EXPECT_EQ(failed, 2u);
-    EXPECT_EQ(CheckpointJournal::load(path).entries.size(), 2u);
+    EXPECT_EQ(failed, mcf_cells);
+    EXPECT_EQ(CheckpointJournal::load(path).entries.size(),
+              cells.size() - mcf_cells);
 
     // Resume: gzip cells replay from the journal, mcf cells finally
     // run. The combined results must be byte-identical to the

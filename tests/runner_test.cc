@@ -2,19 +2,23 @@
  * @file
  * The parallel sweep engine's contract (sim/runner.hh): parallel
  * execution is element-wise identical to the serial path, errors stay
- * in their slot without stalling the pool, and MNM_JOBS parsing.
+ * in their slot without stalling the pool, timing cells reproduce a
+ * direct core run, and MNM_JOBS parsing.
  */
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/presets.hh"
+#include "cpu/cycle_core.hh"
 #include "sim/config.hh"
 #include "sim/runner.hh"
+#include "trace/spec2000.hh"
 
 namespace mnm
 {
@@ -169,16 +173,6 @@ TEST(RunnerTest, EmptyTaskSetIsANoOp)
     EXPECT_TRUE(errors.empty());
 }
 
-TEST(RunnerTest, MapPreservesIndexOrder)
-{
-    ParallelRunner runner(8);
-    std::vector<std::size_t> out = runner.map<std::size_t>(
-        100, [](std::size_t i) { return i * i; });
-    ASSERT_EQ(out.size(), 100u);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], i * i);
-}
-
 TEST(RunnerTest, ZeroJobsMeansHardwareConcurrency)
 {
     ParallelRunner runner(0);
@@ -218,57 +212,6 @@ TEST(RunnerDeathTest, RejectsOutOfRangeJobs)
     EXPECT_EXIT(jobsFromEnv(), ::testing::ExitedWithCode(1),
                 "out of range");
     ASSERT_EQ(unsetenv("MNM_JOBS"), 0);
-}
-
-TEST(SweepFailureTest, AggregatesEveryFailedSlot)
-{
-    ParallelRunner runner(4);
-    auto errors = runner.run(10, [](std::size_t i) {
-        if (i % 3 == 0)
-            throw std::runtime_error("slot " + std::to_string(i));
-    });
-    try {
-        ParallelRunner::throwIfAny(errors, [](std::size_t i) {
-            return "cell-" + std::to_string(i);
-        });
-        FAIL() << "throwIfAny swallowed the failures";
-    } catch (const SweepFailure &e) {
-        // Indices 0, 3, 6, 9 -- all of them, in index order, with the
-        // caller's labels and the original messages.
-        ASSERT_EQ(e.failures().size(), 4u);
-        EXPECT_EQ(e.failures()[0].index, 0u);
-        EXPECT_EQ(e.failures()[1].index, 3u);
-        EXPECT_EQ(e.failures()[2].index, 6u);
-        EXPECT_EQ(e.failures()[3].index, 9u);
-        EXPECT_EQ(e.failures()[1].label, "cell-3");
-        EXPECT_EQ(e.failures()[1].message, "slot 3");
-        // what() leads with the count so a log line tells the story.
-        EXPECT_NE(std::string(e.what()).find("4 tasks failed"),
-                  std::string::npos);
-    }
-}
-
-TEST(SweepFailureTest, ThrowIfAnyIsANoOpWhenClean)
-{
-    std::vector<std::exception_ptr> clean(5);
-    EXPECT_NO_THROW(ParallelRunner::throwIfAny(clean));
-}
-
-TEST(SweepFailureTest, MapThrowsWithDefaultLabels)
-{
-    ParallelRunner runner(2);
-    try {
-        runner.map<int>(4, [](std::size_t i) {
-            if (i == 2)
-                throw std::runtime_error("boom");
-            return static_cast<int>(i);
-        });
-        FAIL() << "map swallowed the failure";
-    } catch (const SweepFailure &e) {
-        ASSERT_EQ(e.failures().size(), 1u);
-        EXPECT_EQ(e.failures()[0].label, "task 2");
-        EXPECT_EQ(e.failures()[0].message, "boom");
-    }
 }
 
 TEST(RunnerTest, FailedCellDegradesGracefully)
@@ -354,6 +297,93 @@ TEST(RunnerTest, WatchdogTimeoutFailsCellWithoutRetry)
     clean.jobs = 1;
     std::vector<MemSimResult> ok = runSweep(cells, clean);
     EXPECT_FALSE(ok[0].failed);
+}
+
+/** A timing core run directly, the way benches ran them before they
+ *  were sweep cells: fresh hierarchy and MNM, optional tenth-of-budget
+ *  warm-up, then the measured window. */
+template <typename Core>
+CpuRunStats
+directCoreRun(const std::optional<MnmSpec> &spec, bool warm,
+              std::uint64_t instructions,
+              std::vector<CacheSnapshot> &caches)
+{
+    CacheHierarchy hierarchy(paperHierarchy(5));
+    std::unique_ptr<MnmUnit> mnm;
+    if (spec)
+        mnm = std::make_unique<MnmUnit>(*spec, hierarchy);
+    Core core(paperCpu(5), hierarchy, mnm.get());
+    auto workload = makeSpecWorkload("181.mcf");
+    if (warm)
+        core.run(*workload, instructions / 10);
+    CpuRunStats stats = core.run(*workload, instructions);
+    caches = snapshotCaches(hierarchy);
+    return stats;
+}
+
+TEST(RunnerTest, TimingCellsMatchDirectCoreRuns)
+{
+    const std::uint64_t instructions = 30000;
+    std::vector<SweepCell> cells;
+    for (CellModel model : {CellModel::OooCore, CellModel::CycleCore}) {
+        for (bool warm : {true, false}) {
+            for (bool hmnm : {false, true}) {
+                SweepCell cell;
+                cell.app = "181.mcf";
+                cell.hierarchy = paperHierarchy(5);
+                if (hmnm)
+                    cell.mnm = makeHmnmSpec(4);
+                cell.instructions = instructions;
+                cell.label = std::string(model == CellModel::OooCore
+                                             ? "df"
+                                             : "cyc") +
+                             (warm ? " warm" : " cold") +
+                             (hmnm ? " HMNM4" : " base");
+                cell.model = model;
+                cell.warm = warm;
+                cells.push_back(cell);
+            }
+        }
+    }
+    ExperimentOptions opts;
+    opts.jobs = 4;
+    std::vector<MemSimResult> results = runSweep(cells, opts);
+
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const SweepCell &cell = cells[i];
+        const MemSimResult &r = results[i];
+        SCOPED_TRACE(cell.label);
+        ASSERT_FALSE(r.failed) << r.fail_reason;
+        std::vector<CacheSnapshot> caches;
+        CpuRunStats d =
+            cell.model == CellModel::OooCore
+                ? directCoreRun<OooCore>(cell.mnm, cell.warm,
+                                         instructions, caches)
+                : directCoreRun<CycleOooCore>(cell.mnm, cell.warm,
+                                              instructions, caches);
+        EXPECT_EQ(r.cpu.instructions, d.instructions);
+        EXPECT_EQ(r.cpu.cycles, d.cycles);
+        EXPECT_EQ(r.cpu.loads, d.loads);
+        EXPECT_EQ(r.cpu.stores, d.stores);
+        EXPECT_EQ(r.cpu.branches, d.branches);
+        EXPECT_EQ(r.cpu.mispredicts, d.mispredicts);
+        EXPECT_EQ(r.cpu.fetch_line_accesses, d.fetch_line_accesses);
+        EXPECT_EQ(r.cpu.data_access_cycles, d.data_access_cycles);
+        EXPECT_EQ(r.cpu.data_accesses, d.data_accesses);
+        EXPECT_EQ(r.instructions, instructions);
+        ASSERT_EQ(r.caches.size(), caches.size());
+        for (std::size_t c = 0; c < caches.size(); ++c) {
+            EXPECT_EQ(r.caches[c].name, caches[c].name);
+            EXPECT_EQ(r.caches[c].accesses, caches[c].accesses);
+            EXPECT_EQ(r.caches[c].hits, caches[c].hits);
+            EXPECT_EQ(r.caches[c].bypasses, caches[c].bypasses);
+        }
+        EXPECT_EQ(r.soundness_violations, 0u);
+        EXPECT_EQ(r.mnm_storage_bits > 0, cell.mnm.has_value());
+    }
+    // The MNM shortens the run, and the warm-up changes it.
+    EXPECT_LT(results[1].cpu.cycles, results[0].cpu.cycles);
+    EXPECT_NE(results[0].cpu.cycles, results[2].cpu.cycles);
 }
 
 } // anonymous namespace
