@@ -78,9 +78,8 @@ triggerCellFault(const CellFaultSpec &spec,
         // a library.
         std::_Exit(spec.exit_code);
       case CellFaultMode::Hang:
-        // Deliberately never polls pollCellDeadline(): the cooperative
-        // watchdog cannot end this. Only a supervisor-side SIGKILL
-        // (MNM_WORKERS + MNM_CELL_TIMEOUT_S) can.
+        // Never returns: only the sweep supervisor's SIGKILL deadline
+        // (MNM_CELL_TIMEOUT_S) ends this cell.
         for (;;) {
             std::this_thread::sleep_for(std::chrono::seconds(3600));
         }

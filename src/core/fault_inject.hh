@@ -33,20 +33,18 @@ namespace mnm
 {
 
 /**
- * How an MNM_FAIL_CELL-matched sweep cell dies. Beyond the original
- * in-band exception ("throw", the default), the knob can now raise the
- * process-fatal failures a worker *process* must contain and a worker
- * *thread* cannot: a real SIGSEGV/SIGABRT, a plain exit, and a
- * non-cooperative hang (a loop that never polls the watchdog, so only
- * a supervisor-side SIGKILL deadline ends it).
+ * How an MNM_FAIL_CELL-matched sweep cell dies: an in-band exception
+ * ("throw", the default), or one of the process-fatal failures the
+ * sweep's worker processes contain -- a real SIGSEGV/SIGABRT, a plain
+ * exit, and a hang that only the supervisor's SIGKILL deadline ends.
  */
 enum class CellFaultMode
 {
-    Throw, //!< throw std::runtime_error (contained by the thread pool)
+    Throw, //!< throw std::runtime_error (reported over the pipe)
     Segv,  //!< raise(SIGSEGV): kills the executing process
     Abort, //!< std::abort(): kills the executing process
     Exit,  //!< _Exit(code): silent process exit, no unwinding
-    Hang,  //!< sleep forever without polling any cooperative deadline
+    Hang,  //!< sleep forever
 };
 
 /** Parsed MNM_FAIL_CELL value: which cells to kill, and how. */

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/phase_profiler.hh"
-#include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace mnm
@@ -150,7 +149,6 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
     };
 
     while (committed < count) {
-        pollCellDeadline();
         // Set by every state change below; a cycle that leaves it clear
         // was a no-op, and the skip at the bottom of the loop applies.
         bool progress = false;

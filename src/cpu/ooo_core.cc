@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "obs/phase_profiler.hh"
-#include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace mnm
@@ -89,7 +88,6 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
     while (i < count) {
         {
             PhaseScope prof(Phase::BatchGen);
-            pollCellDeadlineBatch();
             workload.nextBatch(*batch_, std::min(count - i, refill_window));
         }
         for (const Instruction &inst : *batch_) {

@@ -32,7 +32,6 @@ struct RunInfo
     std::uint64_t instructions = 0;
     std::vector<std::string> apps;
     unsigned jobs = 0;
-    unsigned workers = 0;
     bool csv = false;
 };
 
@@ -99,7 +98,7 @@ setRunName(const std::string &run_name)
 void
 setRunConfig(std::uint64_t instructions,
              const std::vector<std::string> &apps, unsigned jobs,
-             unsigned workers, bool csv)
+             bool csv)
 {
     std::scoped_lock lock(runInfoMutex());
     RunInfo &info = runInfo();
@@ -107,7 +106,6 @@ setRunConfig(std::uint64_t instructions,
     info.instructions = instructions;
     info.apps = apps;
     info.jobs = jobs;
-    info.workers = workers;
     info.csv = csv;
 }
 
@@ -165,7 +163,6 @@ writeRunManifest(std::ostream &out)
     if (info.have_config) {
         json.field("instructions", info.instructions);
         json.field("jobs", info.jobs);
-        json.field("workers", info.workers);
         json.field("csv", info.csv);
         json.key("apps");
         json.beginArray();

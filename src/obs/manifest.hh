@@ -54,11 +54,11 @@ void initRunTelemetry(const std::string &run_name = "");
 /** Record the harness/figure name for the manifest meta block. */
 void setRunName(const std::string &run_name);
 
-/** Echo the experiment configuration into the manifest. @p workers is
- *  the MNM_WORKERS process count (0 = in-process execution). */
+/** Echo the experiment configuration into the manifest. @p jobs is
+ *  the MNM_JOBS worker-process count. */
 void setRunConfig(std::uint64_t instructions,
                   const std::vector<std::string> &apps, unsigned jobs,
-                  unsigned workers, bool csv);
+                  bool csv);
 
 /** True when MNM_STATS_JSON was set (after initRunTelemetry). */
 bool statsJsonEnabled();

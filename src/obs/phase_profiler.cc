@@ -37,8 +37,9 @@ struct FoldedSlot
 /**
  * One thread's profiler state. Trivially destructible on purpose: no
  * thread-exit magic -- every profiled thread hands its numbers over via
- * flushThreadProf() (the sweep workers and foldProfGlobal() do), and a
- * thread that never flushes merely contributes nothing.
+ * takeThreadProfile() (the sweep worker processes, per cell) or
+ * flushThreadProf() (ParallelRunner's threads and foldProfGlobal()
+ * do), and a thread that never hands over merely contributes nothing.
  */
 struct ThreadProf
 {
@@ -197,6 +198,23 @@ PhaseTotals::totalTicks() const
     return total;
 }
 
+void
+addPhaseTotals(PhaseTotals &into, const PhaseTotals &from)
+{
+    for (int i = 0; i < num_phases; ++i) {
+        PhaseCounters &d = into.phase[i];
+        const PhaseCounters &s = from.phase[i];
+        d.ticks += s.ticks;
+        d.transitions += s.transitions;
+        d.cycles += s.cycles;
+        d.instructions += s.instructions;
+        d.llc_loads += s.llc_loads;
+        d.llc_misses += s.llc_misses;
+        d.branch_misses += s.branch_misses;
+        d.task_clock_ns += s.task_clock_ns;
+    }
+}
+
 PhaseTotals
 phaseTotalsDelta(const PhaseTotals &before, const PhaseTotals &after)
 {
@@ -300,41 +318,45 @@ threadPhaseTotals()
     return t.totals;
 }
 
-void
-flushThreadProf()
+PhaseProfile
+takeThreadProfile()
 {
+    PhaseProfile profile;
     if (!profActive())
-        return;
+        return profile;
     ThreadProf &t = tls;
     settle(t, profFastTick());
-
-    GlobalProf &g = globalProf();
-    {
-        std::lock_guard<std::mutex> lock(g.mutex);
-        for (int i = 0; i < num_phases; ++i) {
-            g.totals.phase[i].ticks += t.totals.phase[i].ticks;
-            g.totals.phase[i].transitions += t.totals.phase[i].transitions;
-            g.totals.phase[i].cycles += t.totals.phase[i].cycles;
-            g.totals.phase[i].instructions +=
-                t.totals.phase[i].instructions;
-            g.totals.phase[i].llc_loads += t.totals.phase[i].llc_loads;
-            g.totals.phase[i].llc_misses += t.totals.phase[i].llc_misses;
-            g.totals.phase[i].branch_misses +=
-                t.totals.phase[i].branch_misses;
-            g.totals.phase[i].task_clock_ns +=
-                t.totals.phase[i].task_clock_ns;
-        }
-        for (const FoldedSlot &slot : t.folded)
-            if (slot.key != 0)
-                g.folded[slot.key] += slot.ticks;
-        g.folded_drops += t.folded_drops;
-    }
+    profile.totals = t.totals;
+    for (const FoldedSlot &slot : t.folded)
+        if (slot.key != 0)
+            profile.folded.emplace_back(slot.key, slot.ticks);
+    profile.folded_drops = t.folded_drops;
 
     t.totals = PhaseTotals{};
     for (FoldedSlot &slot : t.folded)
         slot = FoldedSlot{};
     t.folded_drops = 0;
-    closeThreadGroup(t);
+    return profile;
+}
+
+void
+mergeGlobalProf(const PhaseProfile &profile)
+{
+    GlobalProf &g = globalProf();
+    std::lock_guard<std::mutex> lock(g.mutex);
+    addPhaseTotals(g.totals, profile.totals);
+    for (const auto &[key, ticks] : profile.folded)
+        g.folded[key] += ticks;
+    g.folded_drops += profile.folded_drops;
+}
+
+void
+flushThreadProf()
+{
+    if (!profActive())
+        return;
+    mergeGlobalProf(takeThreadProfile());
+    closeThreadGroup(tls);
 }
 
 void

@@ -21,21 +21,23 @@
  *     thread_local and fixed-size: an enum-indexed accumulator array, a
  *     16-deep phase stack, and a small open-addressed table of
  *     collapsed stack paths. The only synchronization is a mutex taken
- *     when a thread *flushes* its totals into the global aggregate
- *     (once per worker, not per scope).
+ *     when a profile is merged into the global aggregate (once per
+ *     flushed thread or delivered sweep cell, never per scope).
  *  3. Honest counters. In hw mode every phase transition reads the
  *     thread's PerfCounterGroup, so cycles/instructions/LLC-misses are
  *     measured, not modeled. That is a syscall per transition -- the
  *     mode is for attribution runs, not for the numbers the ratchet
  *     gates.
  *
- * Attribution flow: workers snapshot threadPhaseTotals() around each
- * sweep cell (delta = that cell's profile), then flushThreadProf()
- * before exiting; the manifest writer calls foldProfGlobal() which
- * flushes the calling thread, folds the global aggregate into
- * metrics.prof.*, and writes the MNM_PROF_FOLDED collapsed-stack file
- * (one "mnm;run;...;phase ticks" line per distinct stack, ready for
- * flamegraph.pl).
+ * Attribution flow: a sweep worker process takes its thread profile
+ * (takeThreadProfile) after each cell and ships it home in the cell's
+ * result frame; the supervisor merges it into the global aggregate
+ * (mergeGlobalProf). Threads that profile in-process hand theirs over
+ * with flushThreadProf() instead. The manifest writer calls
+ * foldProfGlobal() which flushes the calling thread, folds the global
+ * aggregate into metrics.prof.*, and writes the MNM_PROF_FOLDED
+ * collapsed-stack file (one "mnm;run;...;phase ticks" line per
+ * distinct stack, ready for flamegraph.pl).
  */
 
 #ifndef MNM_OBS_PHASE_PROFILER_HH
@@ -44,6 +46,8 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/perf_counters.hh"
 
@@ -57,7 +61,7 @@ class StatsRegistry;
 enum class Phase : std::uint8_t
 {
     Run,        //!< MemorySimulator::run root (self = loop overhead)
-    BatchGen,   //!< workload batch generation + deadline polling
+    BatchGen,   //!< workload batch generation
     L1Peek,     //!< stage-2a L1 hit peek loop (self = peeks + control)
     Verdict,    //!< MNM verdict kernels (computeCandidates/computeBypass)
     HierWalk,   //!< cache hierarchy walk per access (performAccess)
@@ -95,6 +99,22 @@ struct PhaseTotals
 
     /** Sum of ticks across phases (the share denominator). */
     std::uint64_t totalTicks() const;
+};
+
+/** Element-wise @p into += @p from. */
+void addPhaseTotals(PhaseTotals &into, const PhaseTotals &from);
+
+/** A profile that can leave its thread (or process): the per-phase
+ *  totals plus the collapsed-stack table behind MNM_PROF_FOLDED. */
+struct PhaseProfile
+{
+    PhaseTotals totals;
+    /** (stack path key, ticks); the keys are opaque outside the
+     *  profiler. The ticks sum to totals.totalTicks() minus
+     *  folded_drops. */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> folded;
+    /** Ticks whose stack did not fit the thread's table. */
+    std::uint64_t folded_drops = 0;
 };
 
 /** Element-wise after - before (fields saturate at 0 rather than
@@ -155,10 +175,17 @@ void initPhaseProfiler();
  *  is settled first, so cell-boundary deltas are exact). */
 PhaseTotals threadPhaseTotals();
 
-/** Fold the calling thread's totals and collapsed stacks into the
- *  global aggregate and zero the thread state (idempotent; closes the
- *  thread's counter group). Each profiled thread calls this once when
- *  its work is done. */
+/** Settle and return the calling thread's profile, and zero it (the
+ *  hw counter group stays open). A sweep worker takes one per cell. */
+PhaseProfile takeThreadProfile();
+
+/** Add @p profile to the global aggregate that foldProfGlobal() and
+ *  the MNM_PROF_FOLDED file report. */
+void mergeGlobalProf(const PhaseProfile &profile);
+
+/** mergeGlobalProf(takeThreadProfile()), then close the thread's
+ *  counter group (idempotent). Each thread that profiles in-process
+ *  calls this once when its work is done. */
 void flushThreadProf();
 
 /**

@@ -16,7 +16,6 @@
 #include "sim/config.hh"
 #include "sim/runner.hh"
 #include "trace/spec2000.hh"
-#include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace mnm
@@ -100,10 +99,6 @@ ExperimentOptions::fromEnv()
         opts.trace_file = env;
     if (const char *env = std::getenv("MNM_CHECKPOINT"))
         opts.checkpoint = env;
-    if (const char *env = std::getenv("MNM_WORKERS")) {
-        opts.workers = static_cast<unsigned>(
-            parseEnvU64("MNM_WORKERS", env, 0, 1024));
-    }
     if (const char *env = std::getenv("MNM_POISON_LIMIT")) {
         opts.poison_limit = static_cast<unsigned>(
             parseEnvU64("MNM_POISON_LIMIT", env, 1, 1000));
@@ -133,8 +128,7 @@ ExperimentOptions::fromEnv()
     // Arm the exit-time manifest/trace writers and echo the resolved
     // configuration into the manifest. Inert when both knobs are unset.
     initRunTelemetry();
-    setRunConfig(opts.instructions, opts.apps, opts.jobs, opts.workers,
-                 opts.csv);
+    setRunConfig(opts.instructions, opts.apps, opts.jobs, opts.csv);
     return opts;
 }
 
@@ -228,7 +222,6 @@ runDtlb(const SweepCell &cell)
     MemSimResult result;
     auto window = [&](std::uint64_t count, bool measured) {
         forEachRecord(*workload, count, *batch, [&](const Instruction &i) {
-            pollCellDeadline();
             if (!i.isMem())
                 return;
             Cycles cycles = filter ? filter->translate(i.mem_addr)

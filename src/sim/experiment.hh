@@ -10,14 +10,11 @@
  *   MNM_INSTRUCTIONS  instructions per workload (default 2,000,000)
  *   MNM_APPS          comma-separated workload names (default: all 20)
  *   MNM_CSV           set to 1 to also emit CSV after each table
- *   MNM_JOBS          sweep worker threads (default: all hardware
- *                     threads; 1 = legacy serial path)
- *   MNM_WORKERS       sweep worker *processes* (default 0 = stay in
- *                     process). N >= 1 makes runSweep a supervisor
- *                     forking N crash-contained workers (sim/
- *                     proc_pool): SIGSEGV/SIGKILL/hangs cost one cell,
- *                     never the sweep, and output stays byte-identical
- *                     to MNM_JOBS threading and to serial
+ *   MNM_JOBS          sweep worker *processes*, 1..1024 (default: all
+ *                     hardware threads). runSweep supervises N forked
+ *                     crash-contained workers (sim/proc_pool):
+ *                     SIGSEGV/SIGKILL/hangs cost one cell, never the
+ *                     sweep, and output is byte-identical at any N
  *   MNM_POISON_LIMIT  consecutive worker deaths one cell may cause
  *                     before it is declared poison and rendered
  *                     <failed> instead of crash-looping the pool
@@ -34,18 +31,14 @@
  *   MNM_CHECKPOINT    path; journal each completed sweep cell and
  *                     replay finished cells on restart (sim/recovery)
  *   MNM_RETRIES       extra attempts for a cell whose simulation
- *                     throws (default 1; watchdog timeouts never
- *                     retry)
- *   MNM_CELL_TIMEOUT_S  per-cell watchdog in seconds (default: no
- *                     timeout). Cooperative under MNM_JOBS (the cell
- *                     must poll); a real supervisor-enforced SIGKILL
- *                     deadline under MNM_WORKERS
+ *                     throws (default 1; timeouts never retry)
+ *   MNM_CELL_TIMEOUT_S  per-cell deadline in seconds (default: no
+ *                     timeout): the supervisor SIGKILLs the worker
  *   MNM_FAIL_CELL     testing: kill any cell whose "app · label"
- *                     contains the substring. "<substr>" throws (the
- *                     thread-containable failure); "<substr>:<mode>"
- *                     with segv, abort, exit:<code>, or hang raises
- *                     the process-fatal failures only MNM_WORKERS
- *                     contains (core/fault_inject.hh)
+ *                     contains the substring. "<substr>" throws;
+ *                     "<substr>:<mode>" with segv, abort, exit:<code>,
+ *                     or hang kills or wedges the worker process
+ *                     (core/fault_inject.hh)
  *   MNM_REFERENCE     set to 1 to run functional cells through the
  *                     reference paths: the single-step loop with
  *                     virtual verdict dispatch, and the per-event
@@ -89,11 +82,8 @@ struct ExperimentOptions
     std::uint64_t instructions = 2'000'000;
     std::vector<std::string> apps;
     bool csv = false;
-    /** Sweep worker threads (sim/runner.hh); 1 = serial. */
+    /** Sweep worker processes (MNM_JOBS, sim/proc_pool.hh). */
     unsigned jobs = 1;
-    /** Sweep worker processes (MNM_WORKERS, sim/proc_pool.hh);
-     *  0 = in-process execution via the thread pool. */
-    unsigned workers = 0;
     /** Consecutive worker deaths one cell may cause before it is
      *  declared poison (MNM_POISON_LIMIT). */
     unsigned poison_limit = 3;
@@ -110,8 +100,7 @@ struct ExperimentOptions
     std::string checkpoint;
     /** Extra attempts for a throwing cell (MNM_RETRIES). */
     unsigned retries = 1;
-    /** Per-cell watchdog budget in seconds (MNM_CELL_TIMEOUT_S);
-     *  0 = no watchdog. */
+    /** Per-cell deadline in seconds (MNM_CELL_TIMEOUT_S); 0 = none. */
     double cell_timeout_s = 0.0;
     /** Cell fault injection (MNM_FAIL_CELL); match empty = disabled. */
     CellFaultSpec fail_cell;

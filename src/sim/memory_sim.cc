@@ -5,7 +5,6 @@
 #include "obs/phase_profiler.hh"
 #include "trace/batch_pipeline.hh"
 #include "util/bits.hh"
-#include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace mnm
@@ -431,7 +430,6 @@ MemorySimulator::run(WorkloadGenerator &workload,
         // instruction, exactly the pre-batching kernel.
         Instruction inst;
         for (std::uint64_t i = 0; i < instructions; ++i) {
-            pollCellDeadline();
             workload.next(inst);
             if (with_prof)
                 step<true>(inst, l1i, result);
@@ -450,9 +448,7 @@ MemorySimulator::run(WorkloadGenerator &workload,
         // before this thread's reads. Attribution stays honest: a
         // synchronous pipeline is still generation (BatchGen); only a
         // real producer thread turns this scope into overlap
-        // wait/handoff (GenOverlap). The watchdog polls per batch: at
-        // most one batch of extra latency before a cell deadline is
-        // noticed, well inside the second-scale MNM_CELL_TIMEOUT_S.
+        // wait/handoff (GenOverlap).
         FetchDedup dedup{l1i.blockBits(), cur_fetch_line_};
         RequestPipeline pipeline(workload, dedup, instructions,
                                  overlap_ ? PipelineMode::Auto
@@ -464,7 +460,6 @@ MemorySimulator::run(WorkloadGenerator &workload,
             const RequestBatch *batch;
             {
                 PhaseScope prof(gen_phase);
-                pollCellDeadlineBatch();
                 batch = pipeline.acquire();
             }
             MNM_ASSERT(batch, "request pipeline ran dry before the "

@@ -10,7 +10,10 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <initializer_list>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/fault_inject.hh"
 #include "obs/json.hh"
@@ -64,115 +67,98 @@ constexpr std::uint32_t max_frame_bytes = 64u * 1024 * 1024;
 
 // -------------------------------------------- prof wire format
 //
-// With MNM_PROF active each worker measures its own per-phase profile
-// (the profiler state is per-process; the supervisor cannot see it) and
-// ships the per-cell delta home inside the response frame, so per-cell
-// and per-worker attribution work identically to the thread pool.
-// Format: {"v":<version>,"phases":[...]} where "phases" is a JSON array
-// of num_phases arrays of the 8 PhaseCounters fields in declaration
-// order. The arrays are positional (phase values and counter fields are
-// both append-only by contract), which is exactly why the block carries
-// an explicit version: growing the Phase enum changes the array shape,
-// and a supervisor paired with a worker binary from the other side of
-// that growth must drop the block with a warning instead of folding
-// counters into the wrong phases. The version bumps whenever the
-// positional layout changes (v2 = the ten-phase layout; v1 was a bare
-// eight-phase array with no tag).
+// With MNM_PROF active each worker measures its own profile (the
+// profiler state is per-process; the supervisor cannot see it) and
+// ships each cell's PhaseProfile home inside the response frame:
+// {"phases":[...],"folded":[[key,ticks],...],"drops":N}. "phases" is
+// num_phases arrays of the 8 PhaseCounters fields in declaration order.
+// The worker is a fork of the supervisor, so both sides always agree
+// on the layout; the reader only rejects a malformed block.
 
-constexpr std::uint64_t prof_wire_version = 2;
+void
+appendU64Array(std::string &out, std::initializer_list<std::uint64_t> v)
+{
+    const char *sep = "[";
+    for (std::uint64_t x : v) {
+        out += sep;
+        out += std::to_string(x);
+        sep = ",";
+    }
+    out += ']';
+}
 
 std::string
-writePhaseTotals(const PhaseTotals &totals)
+writePhaseProfile(const PhaseProfile &profile)
 {
-    std::string out = "{\"v\":";
-    out += std::to_string(prof_wire_version);
-    out += ",\"phases\":[";
+    std::string out = "{\"phases\":[";
     for (int p = 0; p < num_phases; ++p) {
-        const PhaseCounters &c = totals.phase[p];
+        const PhaseCounters &c = profile.totals.phase[p];
         if (p)
             out += ',';
-        out += '[';
-        out += std::to_string(c.ticks);
-        out += ',';
-        out += std::to_string(c.transitions);
-        out += ',';
-        out += std::to_string(c.cycles);
-        out += ',';
-        out += std::to_string(c.instructions);
-        out += ',';
-        out += std::to_string(c.llc_loads);
-        out += ',';
-        out += std::to_string(c.llc_misses);
-        out += ',';
-        out += std::to_string(c.branch_misses);
-        out += ',';
-        out += std::to_string(c.task_clock_ns);
-        out += ']';
+        appendU64Array(out, {c.ticks, c.transitions, c.cycles,
+                             c.instructions, c.llc_loads, c.llc_misses,
+                             c.branch_misses, c.task_clock_ns});
     }
-    out += "]}";
+    out += "],\"folded\":[";
+    for (std::size_t i = 0; i < profile.folded.size(); ++i) {
+        if (i)
+            out += ',';
+        appendU64Array(out,
+                       {profile.folded[i].first, profile.folded[i].second});
+    }
+    out += "],\"drops\":" + std::to_string(profile.folded_drops) + "}";
     return out;
 }
 
-std::optional<PhaseTotals>
-readPhaseTotals(const JsonValue &value)
+/** @p value as an array of exactly @p n integers, or nullopt. */
+std::optional<std::vector<std::uint64_t>>
+readU64Array(const JsonValue &value, std::size_t n)
 {
-    // A bare array is the untagged v1 layout (a pre-version worker
-    // binary); anything without a matching version tag is schema skew
-    // and must be dropped, never folded positionally.
-    if (!value.isObject())
+    if (!value.isArray() || value.asArray().size() != n)
         return std::nullopt;
-    const JsonValue *version = value.find("v");
-    if (!version || !version->isInteger() ||
-        version->asU64() != prof_wire_version) {
-        return std::nullopt;
-    }
-    const JsonValue *phases_json = value.find("phases");
-    if (!phases_json || !phases_json->isArray())
-        return std::nullopt;
-    const JsonValue::Array &phases = phases_json->asArray();
-    if (phases.size() != static_cast<std::size_t>(num_phases))
-        return std::nullopt;
-    PhaseTotals totals;
-    for (int p = 0; p < num_phases; ++p) {
-        if (!phases[p].isArray())
+    std::vector<std::uint64_t> out;
+    for (const JsonValue &x : value.asArray()) {
+        if (!x.isInteger())
             return std::nullopt;
-        const JsonValue::Array &fields = phases[p].asArray();
-        if (fields.size() != 8)
-            return std::nullopt;
-        std::uint64_t v[8];
-        for (int f = 0; f < 8; ++f) {
-            if (!fields[f].isInteger())
-                return std::nullopt;
-            v[f] = fields[f].asU64();
-        }
-        PhaseCounters &c = totals.phase[p];
-        c.ticks = v[0];
-        c.transitions = v[1];
-        c.cycles = v[2];
-        c.instructions = v[3];
-        c.llc_loads = v[4];
-        c.llc_misses = v[5];
-        c.branch_misses = v[6];
-        c.task_clock_ns = v[7];
+        out.push_back(x.asU64());
     }
-    return totals;
+    return out;
 }
 
-void
-addPhaseTotals(PhaseTotals &into, const PhaseTotals &from)
+std::optional<PhaseProfile>
+readPhaseProfile(const JsonValue &value)
 {
-    for (int p = 0; p < num_phases; ++p) {
-        PhaseCounters &d = into.phase[p];
-        const PhaseCounters &s = from.phase[p];
-        d.ticks += s.ticks;
-        d.transitions += s.transitions;
-        d.cycles += s.cycles;
-        d.instructions += s.instructions;
-        d.llc_loads += s.llc_loads;
-        d.llc_misses += s.llc_misses;
-        d.branch_misses += s.branch_misses;
-        d.task_clock_ns += s.task_clock_ns;
+    const JsonValue *phases = value.find("phases");
+    const JsonValue *folded = value.find("folded");
+    std::optional<std::uint64_t> drops = value.getU64("drops");
+    if (!phases || !phases->isArray() ||
+        phases->asArray().size() != static_cast<std::size_t>(num_phases) ||
+        !folded || !folded->isArray() || !drops) {
+        return std::nullopt;
     }
+    PhaseProfile profile;
+    for (int p = 0; p < num_phases; ++p) {
+        auto v = readU64Array(phases->asArray()[p], 8);
+        if (!v)
+            return std::nullopt;
+        PhaseCounters &c = profile.totals.phase[p];
+        c.ticks = (*v)[0];
+        c.transitions = (*v)[1];
+        c.cycles = (*v)[2];
+        c.instructions = (*v)[3];
+        c.llc_loads = (*v)[4];
+        c.llc_misses = (*v)[5];
+        c.branch_misses = (*v)[6];
+        c.task_clock_ns = (*v)[7];
+    }
+    for (const JsonValue &entry : folded->asArray()) {
+        auto v = readU64Array(entry, 2);
+        if (!v)
+            return std::nullopt;
+        profile.folded.emplace_back((*v)[0], (*v)[1]);
+    }
+    profile.folded_drops = *drops;
+    return profile;
 }
 
 bool
@@ -259,27 +245,18 @@ workerChildLoop(const std::vector<SweepCell> &cells,
                 triggerCellFault(opts.fail_cell,
                                  sweepCellDisplayName(cell));
             }
-            // No cooperative watchdog here: under MNM_WORKERS the
-            // supervisor enforces MNM_CELL_TIMEOUT_S with a real
-            // SIGKILL, which also catches cells that never poll.
-            const bool prof = profActive();
-            PhaseTotals prof_before;
-            if (prof)
-                prof_before = threadPhaseTotals();
+            // Drop whatever the thread profile holds (state inherited
+            // across fork, a failed attempt), so the profile taken
+            // after runCell is exactly this cell's work.
+            takeThreadProfile();
             const std::uint64_t start_us = steadyNowUs();
             MemSimResult result = runCell(cell);
             const std::uint64_t dur_us = steadyNowUs() - start_us;
             response = "{\"index\":" + std::to_string(index) +
                        ",\"dur_us\":" + std::to_string(dur_us);
-            if (prof) {
-                // This worker runs one cell at a time on one thread, so
-                // the thread totals advanced by exactly this cell's
-                // work -- the same snapshot-delta contract as the
-                // thread pool, shipped home over the pipe because the
-                // profiler state dies with this process.
-                response += ",\"prof\":" +
-                            writePhaseTotals(phaseTotalsDelta(
-                                prof_before, threadPhaseTotals()));
+            if (profActive()) {
+                response +=
+                    ",\"prof\":" + writePhaseProfile(takeThreadProfile());
             }
             response += ",\"result\":" + writeMemSimResult(result) + "}";
         } catch (const std::exception &e) {
@@ -372,8 +349,9 @@ class ProcPoolSupervisor
         ignore_pipe.sa_handler = SIG_IGN;
         ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
 
+        // Never more workers than cells to run.
         const std::size_t nworkers = std::min<std::size_t>(
-            opts_.workers, std::max<std::size_t>(outstanding_, 1));
+            std::max(opts_.jobs, 1u), outstanding_);
         workers_.resize(nworkers);
         slot_prof_.resize(nworkers);
         globalStats().setGauge("runner.proc.workers",
@@ -388,9 +366,8 @@ class ProcPoolSupervisor
         shutdown();
         ::sigaction(SIGPIPE, &old_pipe, nullptr);
 
-        // Per-worker-process attribution, mirroring the thread pool's
-        // "prof.worker.w<t>" fold: slot totals are the sum of every
-        // cell delta delivered by that slot (across respawns).
+        // Per-worker-process attribution: slot totals are the sum of
+        // every cell profile delivered by that slot (across respawns).
         if (profActive()) {
             for (std::size_t slot = 0; slot < slot_prof_.size(); ++slot) {
                 if (slot_prof_[slot].totalTicks() == 0)
@@ -409,11 +386,11 @@ class ProcPoolSupervisor
         int cmd_pipe[2];
         int res_pipe[2];
         if (::pipe(cmd_pipe) != 0 || ::pipe(res_pipe) != 0)
-            fatal("MNM_WORKERS: cannot create worker pipes");
+            fatal("sweep pool: cannot create worker pipes");
 
         pid_t pid = ::fork();
         if (pid < 0)
-            fatal("MNM_WORKERS: fork failed");
+            fatal("sweep pool: fork failed");
         if (pid == 0) {
             // Child. Drop every descriptor that belongs to the
             // supervisor or a sibling: a sibling holding a copy of our
@@ -532,7 +509,7 @@ class ProcPoolSupervisor
         int ready = ::poll(fds.empty() ? nullptr : fds.data(),
                            static_cast<nfds_t>(fds.size()), timeout_ms);
         if (ready < 0 && errno != EINTR)
-            fatal("MNM_WORKERS: poll failed");
+            fatal("sweep pool: poll failed");
 
         for (std::size_t f = 0; f < fds.size(); ++f) {
             if (fds[f].revents & (POLLIN | POLLHUP | POLLERR))
@@ -605,7 +582,7 @@ class ProcPoolSupervisor
             *index != static_cast<std::uint64_t>(w.cell)) {
             // A response we cannot attribute means the protocol state
             // is broken; treat the worker as crashed.
-            warn("MNM_WORKERS: worker %zu sent an unattributable "
+            warn("sweep worker %zu sent an unattributable "
                  "response; killing it",
                  slot);
             ::kill(w.pid, SIGKILL);
@@ -616,9 +593,9 @@ class ProcPoolSupervisor
 
         if (std::optional<std::string> err = value->getString("error")) {
             if (w.attempt < opts_.retries) {
-                // Same bounded-retry contract as the thread path; the
-                // re-issue goes to the queue front so the retry is not
-                // starved behind the whole remaining grid.
+                // Bounded retry (MNM_RETRIES); the re-issue goes to the
+                // queue front so the retry is not starved behind the
+                // whole remaining grid.
                 pending_.emplace_front(
                     static_cast<std::uint32_t>(cell_index),
                     w.attempt + 1);
@@ -638,7 +615,7 @@ class ProcPoolSupervisor
         std::optional<MemSimResult> result =
             result_json ? readMemSimResult(*result_json) : std::nullopt;
         if (!result) {
-            warn("MNM_WORKERS: worker %zu sent an unreadable result "
+            warn("sweep worker %zu sent an unreadable result "
                  "for cell %zu; killing it",
                  slot, cell_index);
             ::kill(w.pid, SIGKILL);
@@ -646,15 +623,17 @@ class ProcPoolSupervisor
         }
         results_[cell_index] = std::move(*result);
         if (const JsonValue *prof_json = value->find("prof")) {
-            std::optional<PhaseTotals> prof = readPhaseTotals(*prof_json);
+            std::optional<PhaseProfile> prof = readPhaseProfile(*prof_json);
             if (!prof) {
-                warn("MNM_WORKERS: worker %zu sent a prof block for "
-                     "cell %zu with an unreadable or mismatched wire "
-                     "version (binary skew?); dropping its attribution",
+                warn("sweep worker %zu sent an unreadable prof block for "
+                     "cell %zu; dropping its attribution",
                      slot, cell_index);
             } else {
-                cell_prof_[cell_index] = *prof;
-                addPhaseTotals(slot_prof_[slot], *prof);
+                // The manifest's prof.<phase> totals and the folded
+                // stacks are the sum of the delivered cells' profiles.
+                cell_prof_[cell_index] = prof->totals;
+                addPhaseTotals(slot_prof_[slot], prof->totals);
+                mergeGlobalProf(*prof);
             }
         }
         SweepCellTiming &t = timing_[cell_index];

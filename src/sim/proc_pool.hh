@@ -1,15 +1,13 @@
 /**
  * @file
- * Process-isolated sweep execution: the MNM_WORKERS supervisor.
+ * Process-isolated sweep execution: the supervisor behind runSweep().
  *
- * The thread pool in sim/runner.hh contains *exceptions* — a cell that
- * throws fails alone — but nothing in-process can contain a SIGSEGV, a
- * std::abort(), an exit() from library code, or a cell that simply
- * never returns: any of those takes the whole sweep (and every
- * already-computed cell) with it. MNM_WORKERS=N moves the blast radius
- * one process boundary out: runSweep() becomes a single-threaded
- * supervisor that forks N worker processes and feeds them cells over
- * pipes, so the worst any cell can do is kill its worker.
+ * Nothing in-process can contain a SIGSEGV, a std::abort(), an exit()
+ * from library code, or a cell that simply never returns: any of those
+ * would take the whole sweep (and every already-computed cell) with
+ * it. So runSweep() is a single-threaded supervisor that forks MNM_JOBS
+ * worker processes and feeds them cells over pipes; the worst any cell
+ * can do is kill its worker.
  *
  * Protocol (all pipe traffic is length-prefixed frames: a 4-byte
  * little-endian payload length, then the payload):
@@ -23,32 +21,29 @@
  *     sim/recovery.hh writeMemSimResult encoding, so replayed and
  *     pipe-delivered results are bit-identical) or
  *     {"index":N,"error":"what()"} for a contained exception. With
- *     MNM_PROF active the success response also carries a
- *     "prof":[[...8 counters...] x num_phases] block -- the cell's
- *     per-phase attribution delta, measured in the worker (profiler
- *     state is per-process) and folded by the supervisor into the
- *     same prof.cell.* / prof.worker.w<k>.* metrics the thread pool
- *     produces.
+ *     MNM_PROF active the success response also carries a "prof"
+ *     block: the cell's PhaseProfile (per-phase counters and
+ *     collapsed stacks), measured in the worker because profiler state
+ *     is per-process. The supervisor folds it into prof.cell.*,
+ *     prof.worker.w<k>.* and the global aggregate behind the
+ *     manifest's prof.<phase>.* and the MNM_PROF_FOLDED file.
  *
  * Determinism: the supervisor writes each result into results[index]
- * of the same pre-sized vector the thread path uses, and the simulator
- * itself is deterministic, so stdout and the manifest's "sweep.*"
- * subtree are byte-identical across serial, MNM_JOBS, and MNM_WORKERS
- * runs — including runs where workers were killed mid-cell, because a
- * re-issued cell recomputes the identical result.
+ * of a pre-sized vector, and the simulator itself is deterministic, so
+ * stdout and the manifest's "sweep.*" subtree are byte-identical at
+ * any MNM_JOBS -- including runs where workers were killed mid-cell,
+ * because a re-issued cell recomputes the identical result.
  *
  * Fault handling:
  *   - worker death (signal or nonzero exit) while a cell was in
  *     flight: the cell is re-issued to a respawned worker; a cell that
  *     kills MNM_POISON_LIMIT successive workers is declared poison and
  *     rendered <failed> (cause "poison") instead of crash-looping.
- *   - MNM_CELL_TIMEOUT_S: a *real* deadline — the supervisor SIGKILLs
- *     the worker when it expires (no cooperation from the cell
- *     needed, unlike the thread path's polled watchdog). Timed-out
+ *   - MNM_CELL_TIMEOUT_S: the supervisor SIGKILLs the worker when the
+ *     deadline expires (no cooperation from the cell needed). Timed-out
  *     cells fail with cause "timeout" and are never re-issued.
- *   - a worker-reported error (the cell threw) is retried
- *     MNM_RETRIES times like the thread path, then fails with cause
- *     "retry_exhausted".
+ *   - a worker-reported error (the cell threw) is retried MNM_RETRIES
+ *     times, then fails with cause "retry_exhausted".
  *   - dead workers are respawned with exponential backoff
  *     (MNM_WORKER_BACKOFF_MS base, doubling per consecutive death).
  *
@@ -56,9 +51,12 @@
  * appends a "lease" record when it issues a cell and the "result"
  * record only after the response arrived, so a killed supervisor's
  * journal shows exactly which cells were in flight (leased but
- * uncommitted — they simply re-run on resume), plus "respawn" and
+ * uncommitted -- they simply re-run on resume), plus "respawn" and
  * "poison" audit records. tools/extract_results.py --journal
  * summarizes all of it.
+ *
+ * Debugging: a cell runs in a forked child, so under gdb use
+ * `set follow-fork-mode child` (with MNM_JOBS=1) to stop inside it.
  */
 
 #ifndef MNM_SIM_PROC_POOL_HH
@@ -76,20 +74,20 @@ namespace mnm
 class CheckpointJournal;
 
 /**
- * Supervisor entry, called by runSweep() when opts.workers >= 1: run
- * every cell with replayed[i] == 0 on a pool of opts.workers forked
- * worker processes. Fills results[i] (delivered result, or a failed
- * MemSimResult recorded via recordSweepCellFailure()) and timing[i]
- * for every executed cell; with MNM_PROF active, cell_prof[i] receives
- * the worker-measured per-phase attribution delta shipped in the
- * response frame. @p fingerprints must hold one
- * cellFingerprint() per cell (lease keying); @p journal may be null
- * (no checkpointing — leases are not recorded but execution is
+ * Supervisor entry, called by runSweep(): run every cell with
+ * replayed[i] == 0 on a pool of opts.jobs forked worker processes
+ * (never more than there are such cells). Fills results[i] (delivered
+ * result, or a failed MemSimResult recorded via
+ * recordSweepCellFailure()) and timing[i] for every executed cell; with
+ * MNM_PROF active, cell_prof[i] receives the worker-measured per-phase
+ * attribution shipped in the response frame. @p fingerprints must hold
+ * one cellFingerprint() per cell (lease keying); @p journal may be null
+ * (no checkpointing -- leases are not recorded but execution is
  * identical).
  *
- * Must be called from a single-threaded process state (runSweep
- * guarantees this): the workers are created with fork(), and forking a
- * multi-threaded process would deadlock on cloned lock state.
+ * Must be called from a single-threaded process state: the workers are
+ * created with fork(), and forking a multi-threaded process would
+ * deadlock on cloned lock state.
  */
 void runSweepProcPool(const std::vector<SweepCell> &cells,
                       const ExperimentOptions &opts,

@@ -7,14 +7,12 @@
 #include <memory>
 #include <thread>
 
-#include "core/fault_inject.hh"
 #include "obs/manifest.hh"
 #include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "sim/proc_pool.hh"
 #include "sim/recovery.hh"
-#include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace mnm
@@ -58,8 +56,8 @@ jobsFromEnv()
     unsigned long v = std::strtoul(env, &end, 10);
     if (end == env || *end != '\0' || v == 0)
         fatal("MNM_JOBS='%s' is not a positive integer", env);
-    if (v > 4096)
-        fatal("MNM_JOBS=%lu is out of range [1, 4096]", v);
+    if (v > 1024)
+        fatal("MNM_JOBS=%lu is out of range [1, 1024]", v);
     return static_cast<unsigned>(v);
 }
 
@@ -121,15 +119,10 @@ ParallelRunner::run(std::size_t count,
             pool.emplace_back([&, t] {
                 workerSlot() = static_cast<unsigned>(t);
                 worker();
-                if (profActive()) {
-                    // Per-worker attribution, then hand the thread's
-                    // profile to the global aggregate before joining
-                    // (a worker that never flushes contributes
-                    // nothing to the manifest's prof.* totals).
-                    foldPhaseTotals(globalStats(), threadPhaseTotals(),
-                                    "prof.worker.w" + std::to_string(t));
-                    flushThreadProf();
-                }
+                // Hand the thread's profile to the global aggregate
+                // before joining: a thread that never flushes
+                // contributes nothing to globalPhaseTotals().
+                flushThreadProf();
             });
         }
     } // joins every worker; errors[] is complete past this point
@@ -204,20 +197,7 @@ foldSweepTelemetry(const std::vector<SweepCell> &cells,
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const SweepCell &cell = cells[i];
         const MemSimResult &r = results[i];
-        std::string prefix = cellMetricPrefix(cell);
-        if (!r.failed) {
-            stats.addCounter(prefix + ".instructions", r.instructions);
-            stats.addCounter(prefix + ".requests", r.requests);
-            stats.addCounter(prefix + ".memory_accesses",
-                             r.memory_accesses);
-            if (r.cpu.cycles)
-                stats.addCounter(prefix + ".cycles", r.cpu.cycles);
-            if (cell.mnm) {
-                stats.addCounter(prefix + ".soundness_violations",
-                                 r.soundness_violations);
-            }
-            r.decisions.registerInto(stats, prefix + ".confusion");
-        }
+        foldCellMetrics(stats, cell, r);
 
         // Replayed and failed cells have no meaningful wall clock.
         const SweepCellTiming &t = timing[i];
@@ -313,6 +293,25 @@ foldSweepTelemetry(const std::vector<SweepCell> &cells,
 } // anonymous namespace
 
 void
+foldCellMetrics(StatsRegistry &stats, const SweepCell &cell,
+                const MemSimResult &r)
+{
+    if (r.failed)
+        return;
+    const std::string prefix = cellMetricPrefix(cell);
+    stats.addCounter(prefix + ".instructions", r.instructions);
+    stats.addCounter(prefix + ".requests", r.requests);
+    stats.addCounter(prefix + ".memory_accesses", r.memory_accesses);
+    if (r.cpu.cycles)
+        stats.addCounter(prefix + ".cycles", r.cpu.cycles);
+    if (cell.mnm) {
+        stats.addCounter(prefix + ".soundness_violations",
+                         r.soundness_violations);
+    }
+    r.decisions.registerInto(stats, prefix + ".confusion");
+}
+
+void
 recordSweepCellFailure(const SweepCell &cell, std::size_t index,
                        SweepFailCause cause, const std::string &reason,
                        MemSimResult &result)
@@ -342,17 +341,19 @@ std::vector<MemSimResult>
 runSweep(const std::vector<SweepCell> &cells,
          const ExperimentOptions &opts)
 {
-    ParallelRunner runner(opts.jobs);
     std::vector<MemSimResult> results(cells.size());
     std::vector<SweepCellTiming> timing(cells.size());
     std::vector<PhaseTotals> cell_prof(cells.size());
-    std::atomic<std::size_t> completed{0};
+
+    // Leases are keyed by cell fingerprint, journal or not.
+    std::vector<std::string> fingerprints(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        fingerprints[i] = cellFingerprint(cells[i]);
 
     // Checkpoint replay: restore finished cells, open the journal for
     // the rest. A journal the process cannot write is a user error
     // (bad path, read-only directory), reported before any simulation.
     std::unique_ptr<CheckpointJournal> journal;
-    std::vector<std::string> fingerprints;
     std::vector<char> replayed(cells.size(), 0);
     if (!opts.checkpoint.empty()) {
         CheckpointJournal::Replay replay =
@@ -362,10 +363,8 @@ runSweep(const std::vector<SweepCell> &cells,
                  "line(s) (torn tail); those cells will re-run",
                  opts.checkpoint.c_str(), replay.skipped);
         }
-        fingerprints.resize(cells.size());
         std::size_t restored = 0;
         for (std::size_t i = 0; i < cells.size(); ++i) {
-            fingerprints[i] = cellFingerprint(cells[i]);
             auto it = replay.entries.find(fingerprints[i]);
             if (it == replay.entries.end())
                 continue;
@@ -386,111 +385,11 @@ runSweep(const std::vector<SweepCell> &cells,
     }
 
     const std::uint64_t sweep_start_us = steadyNowUs();
-
-    // Process-pool mode: MNM_WORKERS >= 1 hands the non-replayed cells
-    // to forked worker processes. runSweep is still single-threaded at
-    // this point (the thread pool only exists inside runner.run), so
-    // the fork in the supervisor is safe. Leases are keyed by cell
-    // fingerprint, so compute them even without a journal.
-    if (opts.workers > 0) {
-        if (fingerprints.empty()) {
-            fingerprints.resize(cells.size());
-            for (std::size_t i = 0; i < cells.size(); ++i)
-                fingerprints[i] = cellFingerprint(cells[i]);
-        }
-        runSweepProcPool(cells, opts, fingerprints, replayed,
-                         journal.get(), results, timing, cell_prof);
-        const std::uint64_t pool_wall_us = steadyNowUs() - sweep_start_us;
-        foldSweepTelemetry(cells, results, timing, cell_prof,
-                           sweep_start_us, pool_wall_us, opts.workers);
-        return results;
-    }
-
-    auto errors = runner.run(cells.size(), [&](std::size_t i) {
-        if (replayed[i])
-            return;
-        const SweepCell &cell = cells[i];
-        SweepCellTiming &t = timing[i];
-
-        // Bounded retry: a throwing simulation gets opts.retries more
-        // attempts (exponential backoff); a watchdog timeout does not
-        // retry -- a second attempt would only time out again.
-        PhaseTotals prof_before;
-        for (unsigned attempt = 0;; ++attempt) {
-            try {
-                t.start_us = steadyNowUs();
-                if (profActive())
-                    prof_before = threadPhaseTotals();
-                t.worker = ParallelRunner::currentWorker();
-                if (g_fault_hook)
-                    g_fault_hook(cell, attempt);
-                if (opts.fail_cell.matches(sweepCellDisplayName(cell))) {
-                    triggerCellFault(opts.fail_cell,
-                                     sweepCellDisplayName(cell));
-                }
-                if (opts.cell_timeout_s > 0.0)
-                    armCellDeadline(opts.cell_timeout_s);
-                results[i] = runCell(cell);
-                disarmCellDeadline();
-                break;
-            } catch (const CellTimeoutError &) {
-                throw; // never retried
-            } catch (...) {
-                disarmCellDeadline();
-                if (attempt >= opts.retries)
-                    throw;
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    50u << std::min(attempt, 6u)));
-            }
-        }
-        std::uint64_t end_us = steadyNowUs();
-        t.dur_us = end_us - t.start_us;
-        t.ran = true;
-        // This worker runs one cell at a time, so the thread's phase
-        // totals advanced by exactly this cell's work (the snapshot is
-        // re-taken per attempt: retries attribute the final run only).
-        if (profActive())
-            cell_prof[i] = phaseTotalsDelta(prof_before,
-                                            threadPhaseTotals());
-        if (journal)
-            journal->append(fingerprints[i], results[i]);
-        if (opts.progress) {
-            std::size_t done =
-                completed.fetch_add(1, std::memory_order_relaxed) + 1;
-            // ETA: project the remaining cells at the observed pace.
-            double elapsed_s =
-                static_cast<double>(end_us - sweep_start_us) / 1e6;
-            double eta_s = elapsed_s / static_cast<double>(done) *
-                           static_cast<double>(cells.size() - done);
-            progress("[%zu/%zu] %s (eta %.1fs)", done, cells.size(),
-                     sweepCellDisplayName(cell).c_str(), eta_s);
-        }
-    });
+    runSweepProcPool(cells, opts, fingerprints, replayed, journal.get(),
+                     results, timing, cell_prof);
     const std::uint64_t wall_us = steadyNowUs() - sweep_start_us;
-
-    // Graceful degradation: a failed cell is marked, warned about, and
-    // counted; the sweep's other cells stand. Benches print "<failed>"
-    // gaps for the marked cells and exit via sweepExitCode().
-    for (std::size_t i = 0; i < errors.size(); ++i) {
-        if (!errors[i])
-            continue;
-        SweepFailCause cause = SweepFailCause::RetryExhausted;
-        std::string reason;
-        try {
-            std::rethrow_exception(errors[i]);
-        } catch (const CellTimeoutError &e) {
-            cause = SweepFailCause::Timeout;
-            reason = e.what();
-        } catch (const std::exception &e) {
-            reason = e.what();
-        } catch (...) {
-            reason = "non-standard exception";
-        }
-        recordSweepCellFailure(cells[i], i, cause, reason, results[i]);
-    }
-
-    foldSweepTelemetry(cells, results, timing, cell_prof,
-                       sweep_start_us, wall_us, runner.jobs());
+    foldSweepTelemetry(cells, results, timing, cell_prof, sweep_start_us,
+                       wall_us, opts.jobs);
     return results;
 }
 

@@ -1,27 +1,24 @@
 /**
  * @file
- * Parallel sweep engine for the experiment harness.
+ * Sweep engine for the experiment harness.
  *
  * Every bench reproduces a paper table/figure by sweeping the twenty
  * SPEC2000-like workloads over a handful of machine/MNM variants. Each
  * (workload, hierarchy, MNM, model, budget) point -- a SweepCell -- is
  * an independent simulation on fresh state, so the grid is
  * embarrassingly parallel. runSweep() is the one place benches and
- * examples run cells; it executes them on a fixed-size std::jthread
- * pool (ParallelRunner) or a forked process pool, and results land in
- * a pre-sized output vector indexed by cell, so aggregation order (and
- * therefore every printed table) is deterministic and byte-identical
- * to the serial path.
+ * examples run cells. It supervises MNM_JOBS forked worker processes
+ * (sim/proc_pool.hh), and results land in a pre-sized output vector
+ * indexed by cell, so aggregation order (and therefore every printed
+ * table) is deterministic and byte-identical at any job count.
  *
  * Concurrency model: no simulator state is shared between cells. Each
- * worker claims the next cell off an atomic counter, builds its own
- * simulator/workload, and writes only results[i]. The only shared
- * sinks are the logging mutex (util/logging) and the per-slot
- * std::exception_ptr array; a throwing cell fails its own slot and the
- * pool keeps draining.
+ * cell runs in a worker process on fresh state and comes back as a
+ * serialized MemSimResult; the supervisor itself never spawns a
+ * thread. A cell that throws, crashes its worker or hangs fails its
+ * own slot and the pool keeps draining.
  *
- * Job count comes from MNM_JOBS (default: hardware_concurrency;
- * 1 = legacy serial path that never spawns a thread).
+ * Job count comes from MNM_JOBS (default: hardware_concurrency).
  */
 
 #ifndef MNM_SIM_RUNNER_HH
@@ -39,6 +36,8 @@
 
 namespace mnm
 {
+
+class StatsRegistry;
 
 /** What simulates a sweep cell (runCell dispatches on it). */
 enum class CellModel
@@ -103,7 +102,7 @@ makeGridCells(const std::vector<std::string> &apps,
               const std::vector<SweepVariant> &variants,
               std::uint64_t instructions);
 
-/** MNM_JOBS, or hardware_concurrency when unset (always >= 1). */
+/** MNM_JOBS in [1, 1024], or hardware_concurrency when unset. */
 unsigned jobsFromEnv();
 
 /** "app · label" (or just app) for progress/error messages. */
@@ -132,16 +131,16 @@ const char *sweepFailCauseName(SweepFailCause cause);
  * and @p reason as fail_reason, warn with the cell's display name and
  * cause, bump "runner.failures.total", "runner.failures.by_cause.
  * <cause>" and the per-cell "runner.failures.<label>.<app>" counter,
- * and latch sweepExitCode() nonzero. Shared by the in-process retry
- * path and the process-pool supervisor so both report identically.
+ * and latch sweepExitCode() nonzero. The process-pool supervisor
+ * calls it for every failure cause.
  */
 void recordSweepCellFailure(const SweepCell &cell, std::size_t index,
                             SweepFailCause cause,
                             const std::string &reason,
                             MemSimResult &result);
 
-/** Wall-clock record of one sweep cell, filled in by whichever
- *  execution path ran it (worker thread or pool supervisor). */
+/** Wall-clock record of one sweep cell, filled in by the pool
+ *  supervisor. */
 struct SweepCellTiming
 {
     std::uint64_t start_us = 0; //!< steady-clock start
@@ -153,15 +152,15 @@ struct SweepCellTiming
 };
 
 /**
- * Fixed-size worker pool executing an indexed task set: the substrate
- * under runSweep(). Benches and examples do not use it directly; they
- * describe their work as SweepCells.
+ * Fixed-size thread pool executing an indexed task set in-process, for
+ * callers that time their own cells on threads (perfbench). Sweeps do
+ * not use it: runSweep() runs cells in worker processes.
  */
 class ParallelRunner
 {
   public:
     /** @param jobs worker count; 0 = hardware_concurrency, 1 = run
-     *  everything inline on the calling thread (legacy serial path). */
+     *  everything inline on the calling thread. */
     explicit ParallelRunner(unsigned jobs);
 
     unsigned jobs() const { return jobs_; }
@@ -181,8 +180,7 @@ class ParallelRunner
 
     /**
      * Index of the pool worker executing the current task: 0..jobs-1
-     * inside run(), 0 on the serial path and outside any pool. Used by
-     * the sweep telemetry to lane trace events per worker.
+     * inside run(), 0 on the serial path and outside any pool.
      */
     static unsigned currentWorker();
 
@@ -191,28 +189,21 @@ class ParallelRunner
 };
 
 /**
- * Run every cell through runCell() on @p opts.jobs workers.
- * Results are indexed like @p cells. Per-cell completion (plus an ETA
- * projected from cells done over elapsed time) is reported via
- * progress() when @p opts.progress (MNM_PROGRESS=1).
+ * Run every cell through runCell() on @p opts.jobs forked worker
+ * processes (sim/proc_pool.hh). Results are indexed like @p cells.
+ * Per-cell completion (plus an ETA projected from cells done over
+ * elapsed time) is reported via progress() when @p opts.progress
+ * (MNM_PROGRESS=1). Stdout and the manifest's "sweep.*" subtree are
+ * byte-identical at any job count.
  *
- * Execution modes: with @p opts.workers == 0 (the default) cells run
- * on an in-process thread pool. With MNM_WORKERS=N >= 1 the call
- * becomes a supervisor over N forked worker *processes*
- * (sim/proc_pool.hh): a cell that segfaults, aborts, exits, or hangs
+ * Fault containment: a cell that segfaults, aborts, exits or hangs
  * takes down only its worker -- the supervisor re-issues the cell to a
- * respawned worker and the sweep completes. Either way results land in
- * the same cell-indexed vector, so stdout and the manifest's "sweep.*"
- * subtree are byte-identical across serial, threaded, and
- * process-pool runs.
- *
- * Fault containment: a cell whose simulation throws is retried up to
- * @p opts.retries times (exponential backoff; watchdog timeouts from
- * MNM_CELL_TIMEOUT_S are not retried -- a second attempt would just
- * time out again). A cell that exhausts its attempts does NOT abort
- * the sweep: its result comes back with MemSimResult::failed set (and
- * fail_reason carrying the exception text), a warning names it, a
- * "runner.failures.<label>.<app>" counter records it, and
+ * respawned worker, up to MNM_POISON_LIMIT deaths. A cell that throws
+ * is retried up to @p opts.retries times. MNM_CELL_TIMEOUT_S is a
+ * SIGKILL deadline and is never retried. A cell that exhausts these
+ * does NOT abort the sweep: its result comes back with
+ * MemSimResult::failed set (and fail_reason saying why), a warning
+ * names it, "runner.failures.*" counters record it by cause, and
  * sweepExitCode() turns nonzero so benches exit 1 after printing their
  * tables with gap markers.
  *
@@ -238,6 +229,14 @@ std::vector<MemSimResult> runSweep(const std::vector<SweepCell> &cells,
                                    const ExperimentOptions &opts);
 
 /**
+ * Fold one cell's simulation metrics into @p stats under
+ * "sweep.<label>.<app>.*" -- the per-cell step of runSweep()'s
+ * telemetry. A failed cell adds nothing.
+ */
+void foldCellMetrics(StatsRegistry &stats, const SweepCell &cell,
+                     const MemSimResult &r);
+
+/**
  * Process exit code reflecting sweep health: 1 once any runSweep()
  * cell has failed (after retries), else 0. Benches return this from
  * main() so graceful degradation still fails CI.
@@ -261,17 +260,17 @@ sweepCell(const MemSimResult &base, const MemSimResult &r, double value)
 }
 
 /**
- * Test hook: called before every cell attempt as hook(cell, attempt)
- * (attempt is 0-based); a throwing hook fails that attempt exactly
- * like a throwing simulation. Pass nullptr to clear. Not thread-safe
- * against a running sweep -- set it before runSweep().
+ * Test hook: called in the worker process before every cell attempt as
+ * hook(cell, attempt) (attempt is 0-based); a throwing hook fails that
+ * attempt exactly like a throwing simulation, and a hook that kills
+ * its process crashes the worker. The workers inherit it across fork,
+ * so set it before runSweep(); pass nullptr to clear.
  */
 void setSweepFaultHookForTest(
     std::function<void(const SweepCell &, unsigned)> hook);
 
-/** The installed test fault hook (null when unset). Internal: lets the
- *  process-pool worker (which inherits the hook across fork) run it
- *  exactly like the thread path does. */
+/** The installed test fault hook (null when unset), for the worker
+ *  loop in sim/proc_pool.cc. */
 const std::function<void(const SweepCell &, unsigned)> &sweepFaultHook();
 
 } // namespace mnm

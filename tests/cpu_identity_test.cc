@@ -48,7 +48,6 @@
 #include "sim/config.hh"
 #include "trace/spec2000.hh"
 #include "trace/workload.hh"
-#include "util/deadline.hh"
 
 namespace mnm
 {
@@ -801,7 +800,6 @@ TEST(CpuIdentityTest, FarDependencesNeverGateIssue)
         out.resize(18);
         return out;
     };
-    armCellDeadline(30.0);
     for (Model model : {Model::Ooo, Model::Cycle}) {
         const std::vector<std::uint64_t> independent = stats(model, 0);
         for (std::uint16_t d : {std::uint16_t(w - 1), w,
@@ -817,7 +815,6 @@ TEST(CpuIdentityTest, FarDependencesNeverGateIssue)
             }
         }
     }
-    disarmCellDeadline();
 }
 
 } // anonymous namespace

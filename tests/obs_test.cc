@@ -321,20 +321,21 @@ TEST(SweepTelemetryTest, RegistryIdenticalAcrossJobCounts)
 {
     std::vector<SweepCell> cells = smallGrid();
 
-    globalStats().clear();
-    ExperimentOptions serial;
-    serial.jobs = 1;
-    runSweep(cells, serial);
-    std::string from_serial = globalStats().toJson({"runner"});
+    // The oracle: runSweep's own per-cell fold over direct runCell
+    // results, so only the executor differs from the sweeps below.
+    StatsRegistry expected;
+    for (const SweepCell &cell : cells)
+        foldCellMetrics(expected, cell, runCell(cell));
+    ASSERT_NE(expected.toJson(), "{}");
 
-    globalStats().clear();
-    ExperimentOptions parallel;
-    parallel.jobs = 8;
-    runSweep(cells, parallel);
-    std::string from_parallel = globalStats().toJson({"runner"});
-
-    EXPECT_EQ(from_serial, from_parallel);
-    EXPECT_NE(from_serial, "{}");
+    for (unsigned jobs : {1u, 8u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        globalStats().clear();
+        ExperimentOptions opts;
+        opts.jobs = jobs;
+        runSweep(cells, opts);
+        EXPECT_EQ(globalStats().toJson({"runner"}), expected.toJson());
+    }
     globalStats().clear();
 }
 
@@ -368,7 +369,7 @@ TEST(ManifestTest, WritesSchemaConfigAndMetrics)
     globalStats().clear();
     globalStats().addCounter("demo.value", 7);
     setRunName("obs_test");
-    setRunConfig(12345, {"164.gzip"}, 3, 0, false);
+    setRunConfig(12345, {"164.gzip"}, 3, false);
 
     std::ostringstream out;
     writeRunManifest(out);

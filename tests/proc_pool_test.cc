@@ -1,11 +1,11 @@
 /**
  * @file
  * Process-pool sweep execution contract (sim/proc_pool.hh): results
- * are element-wise bit-identical to the serial and threaded paths, a
+ * are element-wise bit-identical to runCell called directly, a
  * mid-cell worker crash costs nothing (the cell is re-issued and
- * recomputes the identical result), a poison cell fails alone, a
- * hanging cell dies to the supervisor's real SIGKILL deadline, and the
- * MNM_WORKERS / MNM_FAIL_CELL knobs reject malformed values.
+ * recomputes the identical result), a throwing cell is retried, a
+ * poison cell fails alone, a hanging cell dies to the supervisor's
+ * SIGKILL deadline, and MNM_FAIL_CELL rejects malformed values.
  */
 
 #include <csignal>
@@ -43,12 +43,14 @@ smallGrid()
     return makeGridCells({"164.gzip", "181.mcf"}, variants, 40000);
 }
 
+/** The oracle: every cell simulated in turn in this process. */
 std::vector<MemSimResult>
 serialReference(const std::vector<SweepCell> &cells)
 {
-    ExperimentOptions opts;
-    opts.jobs = 1;
-    return runSweep(cells, opts);
+    std::vector<MemSimResult> results;
+    for (const SweepCell &cell : cells)
+        results.push_back(runCell(cell));
+    return results;
 }
 
 /** Every result compared through its exact journal serialization: the
@@ -82,15 +84,9 @@ TEST(ProcPoolTest, MatchesSerialBitIdentical)
     std::vector<MemSimResult> reference = serialReference(cells);
 
     ExperimentOptions pool;
-    pool.workers = 3;
+    pool.jobs = 3;
     std::vector<MemSimResult> pooled = runSweep(cells, pool);
     expectBitIdentical(cells, reference, pooled);
-
-    // And against the threaded path, completing the three-way claim.
-    ExperimentOptions threads;
-    threads.jobs = 4;
-    std::vector<MemSimResult> threaded = runSweep(cells, threads);
-    expectBitIdentical(cells, pooled, threaded);
 }
 
 TEST(ProcPoolTest, MoreWorkersThanCells)
@@ -98,9 +94,10 @@ TEST(ProcPoolTest, MoreWorkersThanCells)
     std::vector<SweepCell> grid = smallGrid();
     std::vector<SweepCell> cells(grid.begin(), grid.begin() + 2);
     ExperimentOptions pool;
-    pool.workers = 16; // clamped to the cell count internally
+    pool.jobs = 16; // clamped to the cell count internally
     std::vector<MemSimResult> pooled = runSweep(cells, pool);
     expectBitIdentical(cells, serialReference(cells), pooled);
+    EXPECT_EQ(globalStats().gauge("runner.proc.workers"), 2.0);
 }
 
 TEST(ProcPoolTest, MidCellCrashIsReissuedAndStaysBitIdentical)
@@ -120,7 +117,7 @@ TEST(ProcPoolTest, MidCellCrashIsReissuedAndStaysBitIdentical)
     const std::uint64_t reissues_before =
         globalStats().counter("runner.proc.reissues").value();
     ExperimentOptions pool;
-    pool.workers = 2;
+    pool.jobs = 2;
     pool.worker_backoff_ms = 1;
     std::vector<MemSimResult> pooled = runSweep(cells, pool);
     setSweepFaultHookForTest(nullptr);
@@ -149,7 +146,7 @@ TEST(ProcPoolTest, PoisonCellFailsAloneWithCause)
     const std::uint64_t poisoned_before =
         globalStats().counter("runner.proc.poisoned").value();
     ExperimentOptions pool;
-    pool.workers = 2;
+    pool.jobs = 2;
     pool.poison_limit = 2;
     pool.worker_backoff_ms = 1;
     std::vector<MemSimResult> pooled = runSweep(cells, pool);
@@ -183,13 +180,14 @@ TEST(ProcPoolTest, HangingCellDiesToRealDeadline)
     std::vector<SweepCell> grid = smallGrid();
     std::vector<SweepCell> cells(grid.begin(), grid.begin() + 4);
 
-    // MNM_FAIL_CELL=<match>:hang never polls the cooperative watchdog;
-    // only the supervisor's SIGKILL deadline can end it. The timed-out
-    // cell must fail with the timeout cause and never be re-issued.
+    // MNM_FAIL_CELL=<match>:hang never returns; only the supervisor's
+    // SIGKILL deadline can end it. The timed-out cell must fail with
+    // the timeout cause and never be re-issued: the timeout count is
+    // exactly one.
     const std::uint64_t timeouts_before =
         globalStats().counter("runner.proc.timeouts").value();
     ExperimentOptions pool;
-    pool.workers = 2;
+    pool.jobs = 2;
     pool.worker_backoff_ms = 1;
     pool.cell_timeout_s = 0.25;
     pool.fail_cell.match = "181.mcf · baseline";
@@ -225,7 +223,7 @@ TEST(ProcPoolTest, ExitModeCrashIsContained)
     // the very first death final, so this also pins the by-cause
     // accounting for exit-style crashes.
     ExperimentOptions pool;
-    pool.workers = 2;
+    pool.jobs = 2;
     pool.poison_limit = 1;
     pool.worker_backoff_ms = 1;
     pool.fail_cell.match = "164.gzip · RMNM";
@@ -254,17 +252,27 @@ TEST(ProcPoolTest, ThrowingCellIsRetriedThroughTheWorker)
     std::vector<MemSimResult> reference = serialReference(cells);
 
     // A contained exception inside the worker is reported over the
-    // pipe and retried like the thread path, not treated as a crash.
+    // pipe and retried, not treated as a crash: both cells (both
+    // gzip) fail their first attempt and are re-issued exactly once.
     setSweepFaultHookForTest([](const SweepCell &cell, unsigned attempt) {
         if (cell.app == "164.gzip" && attempt == 0)
             throw std::runtime_error("transient");
     });
+    const std::uint64_t retries_before =
+        globalStats().counter("runner.proc.retries").value();
+    const std::uint64_t crashes_before =
+        globalStats().counter("runner.proc.crashes").value();
     ExperimentOptions pool;
-    pool.workers = 2;
+    pool.jobs = 2;
     pool.retries = 1;
     std::vector<MemSimResult> pooled = runSweep(cells, pool);
     setSweepFaultHookForTest(nullptr);
     expectBitIdentical(cells, reference, pooled);
+    EXPECT_EQ(globalStats().counter("runner.proc.retries").value() -
+                  retries_before,
+              2u);
+    EXPECT_EQ(globalStats().counter("runner.proc.crashes").value(),
+              crashes_before);
 }
 
 TEST(ProcPoolTest, ExhaustedRetriesFailWithCause)
@@ -273,7 +281,7 @@ TEST(ProcPoolTest, ExhaustedRetriesFailWithCause)
     std::vector<SweepCell> cells(grid.begin(), grid.begin() + 2);
 
     ExperimentOptions pool;
-    pool.workers = 2;
+    pool.jobs = 2;
     pool.retries = 1;
     pool.fail_cell.match = "164.gzip · baseline"; // mode: throw
     std::vector<MemSimResult> pooled = runSweep(cells, pool);
@@ -303,7 +311,7 @@ TEST(ProcPoolTest, JournalRecordsLeasesAndSurvivesCrashes)
         }
     });
     ExperimentOptions pool;
-    pool.workers = 2;
+    pool.jobs = 2;
     pool.worker_backoff_ms = 1;
     pool.checkpoint = path;
     std::vector<MemSimResult> pooled = runSweep(cells, pool);
@@ -331,10 +339,12 @@ TEST(ProcPoolTest, JournalRecordsLeasesAndSurvivesCrashes)
 
 TEST(ProcPoolTest, WorkersKnobParses)
 {
-    ASSERT_EQ(setenv("MNM_WORKERS", "4", 1), 0);
-    EXPECT_EQ(ExperimentOptions::fromEnv().workers, 4u);
-    ASSERT_EQ(unsetenv("MNM_WORKERS"), 0);
-    EXPECT_EQ(ExperimentOptions::fromEnv().workers, 0u);
+    // MNM_JOBS is the pool's worker-process count.
+    ASSERT_EQ(setenv("MNM_JOBS", "4", 1), 0);
+    EXPECT_EQ(ExperimentOptions::fromEnv().jobs, 4u);
+    ASSERT_EQ(unsetenv("MNM_JOBS"), 0);
+    // Unset: one worker process per hardware thread.
+    EXPECT_GE(ExperimentOptions::fromEnv().jobs, 1u);
 }
 
 TEST(CellFaultSpecTest, ParsesEveryMode)
@@ -356,13 +366,16 @@ TEST(CellFaultSpecTest, ParsesEveryMode)
 
 TEST(ProcPoolDeathTest, RejectsMalformedWorkers)
 {
-    ASSERT_EQ(setenv("MNM_WORKERS", "many", 1), 0);
-    EXPECT_EXIT(ExperimentOptions::fromEnv(),
-                ::testing::ExitedWithCode(1), "MNM_WORKERS");
-    ASSERT_EQ(setenv("MNM_WORKERS", "999999", 1), 0);
-    EXPECT_EXIT(ExperimentOptions::fromEnv(),
-                ::testing::ExitedWithCode(1), "MNM_WORKERS");
-    ASSERT_EQ(unsetenv("MNM_WORKERS"), 0);
+    // A malformed or oversized worker count dies while the options
+    // are read, before any worker is forked.
+    for (const char *bad :
+         {"many", "999999", "zero", "0", "", "-3", "4x"}) {
+        ASSERT_EQ(setenv("MNM_JOBS", bad, 1), 0);
+        EXPECT_EXIT(ExperimentOptions::fromEnv(),
+                    ::testing::ExitedWithCode(1), "MNM_JOBS")
+            << "MNM_JOBS='" << bad << "'";
+    }
+    ASSERT_EQ(unsetenv("MNM_JOBS"), 0);
 }
 
 TEST(ProcPoolDeathTest, RejectsMalformedFailCellModes)

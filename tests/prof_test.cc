@@ -10,8 +10,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -271,7 +274,7 @@ TEST(ProfTest, SweepAttributesPerCellAndNothingOnStdout)
     std::vector<SweepCell> cells =
         makeGridCells({"164.gzip"}, variants, 30000);
     ExperimentOptions opts;
-    opts.jobs = 2; // exercise the worker-thread flush path
+    opts.jobs = 1; // a single worker process runs the whole sweep
 
     ::testing::internal::CaptureStdout();
     runSweep(cells, opts);
@@ -285,7 +288,8 @@ TEST(ProfTest, SweepAttributesPerCellAndNothingOnStdout)
     // per-event update_feed phase only runs on the reference paths).
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.feed_drain.share"));
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.hier_walk.ticks"));
-    // The pool flushed its worker profile into the global aggregate.
+    EXPECT_TRUE(stats.has("prof.worker.w0.run.ticks"));
+    // The worker's profile reached the global aggregate.
     const PhaseTotals global = globalPhaseTotals();
     EXPECT_GT(global.phase[phaseIdx(Phase::Run)].transitions, 0u);
     EXPECT_GT(global.phase[phaseIdx(Phase::Verdict)].ticks, 0u);
@@ -296,7 +300,11 @@ TEST(ProfTest, SweepAttributesPerCellAndNothingOnStdout)
 TEST(ProfTest, WorkerProcessesShipAttributionOverTheResultPipe)
 {
     ProfReset guard;
-    setProfModeForTest(ProfMode::Time);
+    const std::string folded_path = ::testing::TempDir() +
+                                    "mnm_prof_pool_" +
+                                    std::to_string(::getpid()) + ".folded";
+    std::remove(folded_path.c_str());
+    setProfModeForTest(ProfMode::Time, folded_path);
     globalStats().clear();
 
     std::vector<SweepVariant> variants = {
@@ -305,22 +313,55 @@ TEST(ProfTest, WorkerProcessesShipAttributionOverTheResultPipe)
     std::vector<SweepCell> cells =
         makeGridCells({"164.gzip", "181.mcf"}, variants, 30000);
     ExperimentOptions opts;
-    opts.workers = 2; // process pool: prof crosses a fork boundary
+    opts.jobs = 2; // prof crosses a fork boundary
 
     ::testing::internal::CaptureStdout();
     runSweep(cells, opts);
+    foldProfGlobal(globalStats());
+    // Purity: the profiler speaks only through manifests/trace/stderr.
     EXPECT_EQ(::testing::internal::GetCapturedStdout(), "");
 
     // The workers measured each cell in their own process and shipped
-    // the delta home in the response frame; the supervisor folded it
-    // into the same prof.cell.* / prof.worker.w<k>.* metrics the
-    // thread pool produces.
+    // its profile home in the response frame; the supervisor folded it
+    // into the prof.cell.* and prof.worker.w<k>.* metrics.
     StatsRegistry &stats = globalStats();
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.verdict.cycles"));
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.feed_drain.share"));
+    EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.hier_walk.ticks"));
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.mcf.hier_walk.ticks"));
     EXPECT_TRUE(stats.has("prof.worker.w0.run.ticks") ||
                 stats.has("prof.worker.w1.run.ticks"));
+
+    // ...and merged it into the global aggregate behind the manifest's
+    // prof.<phase>.* totals.
+    const PhaseTotals global = globalPhaseTotals();
+    EXPECT_GT(global.phase[phaseIdx(Phase::Run)].transitions, 0u);
+    EXPECT_GT(global.phase[phaseIdx(Phase::Verdict)].ticks, 0u);
+    EXPECT_GT(global.phase[phaseIdx(Phase::FeedDrain)].ticks, 0u);
+
+    // The collapsed stacks crossed the pipe too: the folded file is
+    // non-empty and accounts for exactly the manifest's ticks.
+    writeProfFoldedFile();
+    std::ifstream folded(folded_path);
+    std::string line;
+    std::size_t lines = 0;
+    std::uint64_t folded_ticks = 0;
+    while (std::getline(folded, line)) {
+        ++lines;
+        folded_ticks += std::stoull(line.substr(line.rfind(' ') + 1));
+    }
+    EXPECT_GT(lines, 0u);
+    std::uint64_t manifest_ticks = 0;
+    for (int p = 0; p < num_phases; ++p) {
+        const std::string key =
+            std::string("prof.") + phaseName(static_cast<Phase>(p)) +
+            ".ticks";
+        if (stats.has(key))
+            manifest_ticks += static_cast<std::uint64_t>(stats.gauge(key));
+    }
+    EXPECT_GT(manifest_ticks, 0u);
+    EXPECT_EQ(folded_ticks, manifest_ticks);
+    std::remove(folded_path.c_str());
     globalStats().clear();
 }
 

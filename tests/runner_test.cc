@@ -1,9 +1,10 @@
 /**
  * @file
- * The parallel sweep engine's contract (sim/runner.hh): parallel
- * execution is element-wise identical to the serial path, errors stay
- * in their slot without stalling the pool, timing cells reproduce a
- * direct core run, and MNM_JOBS parsing.
+ * The sweep engine's contract (sim/runner.hh): runSweep at any job
+ * count is element-wise identical to calling runCell on each cell in
+ * turn, a failed cell stays in its slot, timing cells reproduce a
+ * direct core run, MNM_JOBS parsing, and the in-process
+ * ParallelRunner's error capture.
  */
 
 #include <atomic>
@@ -83,24 +84,31 @@ expectSameResult(const MemSimResult &a, const MemSimResult &b)
     }
 }
 
+/** The oracle: every cell simulated in turn on this thread. */
+std::vector<MemSimResult>
+directResults(const std::vector<SweepCell> &cells)
+{
+    std::vector<MemSimResult> results;
+    for (const SweepCell &cell : cells)
+        results.push_back(runCell(cell));
+    return results;
+}
+
 TEST(RunnerTest, ParallelMatchesSerialElementWise)
 {
     std::vector<SweepCell> cells = techniqueCells();
+    std::vector<MemSimResult> reference = directResults(cells);
 
-    ExperimentOptions serial;
-    serial.jobs = 1;
-    std::vector<MemSimResult> serial_results = runSweep(cells, serial);
-
-    ExperimentOptions parallel;
-    parallel.jobs = 8;
-    std::vector<MemSimResult> parallel_results =
-        runSweep(cells, parallel);
-
-    ASSERT_EQ(serial_results.size(), cells.size());
-    ASSERT_EQ(parallel_results.size(), cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        SCOPED_TRACE(cells[i].app + " · " + cells[i].label);
-        expectSameResult(serial_results[i], parallel_results[i]);
+    for (unsigned jobs : {1u, 8u}) {
+        ExperimentOptions opts;
+        opts.jobs = jobs;
+        std::vector<MemSimResult> results = runSweep(cells, opts);
+        ASSERT_EQ(results.size(), cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs) + ": " +
+                         cells[i].app + " · " + cells[i].label);
+            expectSameResult(reference[i], results[i]);
+        }
     }
 }
 
@@ -200,17 +208,27 @@ TEST(RunnerTest, ExperimentOptionsPickUpJobs)
 
 TEST(RunnerDeathTest, RejectsMalformedJobs)
 {
-    ASSERT_EQ(setenv("MNM_JOBS", "zero", 1), 0);
-    EXPECT_EXIT(jobsFromEnv(), ::testing::ExitedWithCode(1),
-                "MNM_JOBS");
+    for (const char *bad : {"zero", "many", "0", "", "-3", "4x"}) {
+        ASSERT_EQ(setenv("MNM_JOBS", bad, 1), 0);
+        EXPECT_EXIT(jobsFromEnv(), ::testing::ExitedWithCode(1),
+                    "MNM_JOBS")
+            << "MNM_JOBS='" << bad << "'";
+    }
     ASSERT_EQ(unsetenv("MNM_JOBS"), 0);
 }
 
 TEST(RunnerDeathTest, RejectsOutOfRangeJobs)
 {
-    ASSERT_EQ(setenv("MNM_JOBS", "5000", 1), 0);
-    EXPECT_EXIT(jobsFromEnv(), ::testing::ExitedWithCode(1),
-                "out of range");
+    // MNM_JOBS counts worker processes, bounded like any process
+    // count. Only the parse runs here: no sweep, so no worker starts.
+    ASSERT_EQ(setenv("MNM_JOBS", "1024", 1), 0);
+    EXPECT_EQ(jobsFromEnv(), 1024u);
+    for (const char *big : {"1025", "5000", "999999"}) {
+        ASSERT_EQ(setenv("MNM_JOBS", big, 1), 0);
+        EXPECT_EXIT(jobsFromEnv(), ::testing::ExitedWithCode(1),
+                    "out of range \\[1, 1024\\]")
+            << "MNM_JOBS=" << big;
+    }
     ASSERT_EQ(unsetenv("MNM_JOBS"), 0);
 }
 
@@ -225,10 +243,8 @@ TEST(RunnerTest, FailedCellDegradesGracefully)
     std::vector<MemSimResult> results = runSweep(cells, opts);
 
     // Exactly one cell is marked failed; every other cell completed
-    // and matches an unperturbed run.
-    ExperimentOptions clean;
-    clean.jobs = 1;
-    std::vector<MemSimResult> reference = runSweep(cells, clean);
+    // and matches a direct simulation.
+    std::vector<MemSimResult> reference = directResults(cells);
     ASSERT_EQ(results.size(), cells.size());
     std::size_t failed = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -245,58 +261,6 @@ TEST(RunnerTest, FailedCellDegradesGracefully)
     }
     EXPECT_EQ(failed, 1u);
     EXPECT_EQ(sweepExitCode(), 1);
-}
-
-TEST(RunnerTest, TransientFailureIsRetried)
-{
-    std::vector<SweepCell> cells = techniqueCells();
-    cells.resize(1);
-
-    std::atomic<unsigned> attempts{0};
-    setSweepFaultHookForTest([&](const SweepCell &, unsigned attempt) {
-        ++attempts;
-        if (attempt == 0)
-            throw std::runtime_error("transient");
-    });
-    ExperimentOptions opts;
-    opts.jobs = 1;
-    opts.retries = 1;
-    std::vector<MemSimResult> results = runSweep(cells, opts);
-    setSweepFaultHookForTest(nullptr);
-
-    EXPECT_EQ(attempts.load(), 2u);
-    EXPECT_FALSE(results[0].failed);
-    EXPECT_GT(results[0].instructions, 0u);
-}
-
-TEST(RunnerTest, WatchdogTimeoutFailsCellWithoutRetry)
-{
-    std::vector<SweepCell> cells = techniqueCells();
-    cells.resize(1);
-
-    std::atomic<unsigned> attempts{0};
-    setSweepFaultHookForTest(
-        [&](const SweepCell &, unsigned) { ++attempts; });
-    ExperimentOptions opts;
-    opts.jobs = 1;
-    opts.retries = 3;
-    opts.cell_timeout_s = 1e-6; // expires before the first poll
-    std::vector<MemSimResult> results = runSweep(cells, opts);
-    setSweepFaultHookForTest(nullptr);
-
-    EXPECT_TRUE(results[0].failed);
-    EXPECT_NE(results[0].fail_reason.find("watchdog"),
-              std::string::npos);
-    // Timeouts are never retried: a second attempt would only burn
-    // another timeout's worth of wall clock.
-    EXPECT_EQ(attempts.load(), 1u);
-
-    // The worker's deadline is disarmed; a follow-up sweep on the
-    // same thread runs to completion.
-    ExperimentOptions clean;
-    clean.jobs = 1;
-    std::vector<MemSimResult> ok = runSweep(cells, clean);
-    EXPECT_FALSE(ok[0].failed);
 }
 
 /** A timing core run directly, the way benches ran them before they

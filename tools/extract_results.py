@@ -34,10 +34,9 @@ reported, never treated as mismatches.
 
 With --diff, two run manifests are compared for metric equality while
 ignoring the fields that legitimately differ between runs: "meta",
-"config.jobs", "config.workers", "config.progress", and the
+"config.jobs" (the worker-process count), "config.progress", and the
 "metrics.runner" and "metrics.prof" wall-clock subtrees. Used by CI to
-prove serial, threaded (MNM_JOBS), and process-pool (MNM_WORKERS)
-sweeps fold identical statistics.
+prove sweeps fold identical statistics at any MNM_JOBS.
 
 With --prof, each input's phase-attribution profile (the metrics.prof
 subtree a run records under MNM_PROF=time|hw, or the per-cell "prof"
@@ -99,8 +98,8 @@ TOLERANCE = 0.05 + 1e-9
 #: Manifest fields that legitimately differ between comparable runs.
 #: metrics.prof is wall-clock-derived phase attribution (obs/
 #: phase_profiler), exactly as wall-clocky as metrics.runner.
-DIFF_IGNORED = ("meta", "config.jobs", "config.workers",
-                "config.progress", "metrics.runner", "metrics.prof")
+DIFF_IGNORED = ("meta", "config.jobs", "config.progress",
+                "metrics.runner", "metrics.prof")
 
 
 #: Gap marker printed by util/table.hh for failed sweep cells.
