@@ -189,32 +189,6 @@ class Cache
         return findWay(block) != no_way;
     }
 
-    /** Hint the tag row a coming probe/contains for @p block will
-     *  scan. Costs two prefetch instructions and no tag comparison;
-     *  the batch path issues it a fixed request distance ahead of the
-     *  probe so the SoA tag stream is resident by then. */
-    void
-    prefetchSet(BlockAddr block) const
-    {
-        std::size_t base =
-            static_cast<std::size_t>(setIndex(block)) * num_ways_;
-        __builtin_prefetch(tags_.data() + base, 0, 1);
-        __builtin_prefetch(state_.data() + base, 0, 1);
-    }
-
-    /** prefetchSet plus the replacement-stamp row: the hint for a set
-     *  the caller expects to probe *and then fill on a miss* (the lane
-     *  queue's L2+ descent), where the victim scan reads stamps_. */
-    void
-    prefetchSetFill(BlockAddr block) const
-    {
-        std::size_t base =
-            static_cast<std::size_t>(setIndex(block)) * num_ways_;
-        __builtin_prefetch(tags_.data() + base, 0, 1);
-        __builtin_prefetch(state_.data() + base, 0, 1);
-        __builtin_prefetch(stamps_.data() + base, 0, 1);
-    }
-
     /**
      * An upper level wrote back @p block. If resident here the copy is
      * dirtied (absorbed); otherwise the writeback must travel further
@@ -244,13 +218,6 @@ class Cache
     /** All resident block addresses (test/diagnostic aid; slow). */
     std::vector<BlockAddr> residentBlocks() const;
 
-    /** Set index of @p block (public so the lane queue's pending-set
-     *  conflict bitmap can mirror exactly the set a probe will scan). */
-    std::uint32_t setIndex(BlockAddr block) const
-    {
-        return static_cast<std::uint32_t>(block & (num_sets_ - 1));
-    }
-
     const CacheParams &params() const { return params_; }
     const CacheStats &stats() const { return stats_; }
     std::uint32_t numSets() const { return num_sets_; }
@@ -262,6 +229,11 @@ class Cache
     /** state_ bits. */
     static constexpr std::uint8_t line_valid = 1;
     static constexpr std::uint8_t line_dirty = 2;
+
+    std::uint32_t setIndex(BlockAddr block) const
+    {
+        return static_cast<std::uint32_t>(block & (num_sets_ - 1));
+    }
 
     /** findWay(): no way holds the block. */
     static constexpr std::size_t no_way = ~std::size_t{0};

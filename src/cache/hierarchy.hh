@@ -139,14 +139,6 @@ class CacheEventListener
     }
 };
 
-/** One queued L1-missing request awaiting the batched L2+ descent
- *  (CacheHierarchy::descendLanes). */
-struct DescentLane
-{
-    Addr addr;
-    AccessType type;
-};
-
 /** Per-cache bypass verdicts for one access (bit set => skip probe). */
 class BypassMask
 {
@@ -304,7 +296,8 @@ class CacheHierarchy
 
     /**
      * Continue an access whose level-1 probe the caller already
-     * performed and saw miss (the batch path's L1-probe fast path).
+     * performed and saw miss (the simulators' L1-first path,
+     * cpu/mem_port.hh).
      * Seeds the level-1 miss record and its latency, then descends
      * from level 2 exactly as access() would have -- including the
      * level-1 fill on the way back. @p bypass must not cover level 1
@@ -312,52 +305,6 @@ class CacheHierarchy
      */
     AccessResult accessBelowL1(AccessType type, Addr addr,
                                const BypassMask &bypass);
-
-    /** Below-L1 plan levels prefetchDescent() hints (L2 and L3: where
-     *  nearly all L1 misses resolve; deeper rows would mostly be
-     *  wasted hint traffic). */
-    static constexpr std::size_t descent_prefetch_levels = 2;
-    /** descendLanes(): lanes of in-loop re-hint lookahead. */
-    static constexpr std::size_t descent_lookahead = 2;
-
-    /** Hint the set rows (tags/state/stamps) the first
-     *  descent_prefetch_levels below-L1 steps of @p type's compiled
-     *  plan will scan for @p addr. The lane queue issues this at
-     *  enqueue time, giving the eventual walk the full queue-residency
-     *  distance to cover the rows' miss latency. Hint-only: never
-     *  affects correctness. */
-    void prefetchDescent(AccessType type, Addr addr) const;
-
-    /**
-     * Batched descent: run the compiled walk plan over a queue of
-     * L1-missed lanes, in order. Per lane, @p verdict
-     * (BypassMask(const DescentLane&)) is invoked immediately before
-     * the walk -- verdicts must see every prior lane's fills and feed
-     * updates, so they cannot be precomputed -- and @p consume
-     * (void(const DescentLane&, const AccessResult&)) immediately
-     * after. Each lane behaves exactly like accessBelowL1() with the
-     * same mask: the event ring still drains per walk, so
-     * replacement-before-placement order is preserved per access and
-     * lane i+1's verdict observes lane i's updates. The batching
-     * amortizes plan entry and re-hints lane i+descent_lookahead's
-     * set rows while lane i walks.
-     */
-    template <typename VerdictFn, typename ConsumeFn>
-    void
-    descendLanes(const DescentLane *lanes, std::size_t n,
-                 VerdictFn &&verdict, ConsumeFn &&consume)
-    {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i + descent_lookahead < n) {
-                const DescentLane &f = lanes[i + descent_lookahead];
-                prefetchDescent(f.type, f.addr);
-            }
-            const DescentLane &lane = lanes[i];
-            AccessResult access =
-                walk(lane.type, lane.addr, verdict(lane), true);
-            consume(lane, access);
-        }
-    }
 
     /** Flush every cache (notifies the listener per cache). */
     void flushAll();
@@ -446,21 +393,6 @@ class CacheHierarchy
     bool backInvalidate(std::uint32_t below_level, Addr victim,
                         std::uint32_t victim_bytes);
 };
-
-inline void
-CacheHierarchy::prefetchDescent(AccessType type, Addr addr) const
-{
-    const std::vector<WalkStep> &plan =
-        type == AccessType::InstFetch ? instr_plan_ : data_plan_;
-    const std::size_t last =
-        plan.size() < 1 + descent_prefetch_levels
-            ? plan.size()
-            : 1 + descent_prefetch_levels;
-    for (std::size_t i = 1; i < last; ++i) {
-        const WalkStep &st = plan[i];
-        st.cache->prefetchSetFill(addr >> st.block_bits);
-    }
-}
 
 } // namespace mnm
 

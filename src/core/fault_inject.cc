@@ -142,10 +142,6 @@ FaultInjector::flip(MnmUnit &unit, std::size_t surface,
         done = true;
     });
     MNM_ASSERT(done, "fault surface index out of range");
-    // The flip rewrote verdict-relevant state behind the unit's back:
-    // invalidate every memoized candidate so the SoA path (which reads
-    // the corrupted tables live) cannot serve a pre-strike verdict.
-    ++unit.state_epoch_;
 }
 
 FaultInjection

@@ -142,11 +142,6 @@ MnmUnit::compilePlans()
     // Lower each walk into its SoA program.
     lowerPlan(instr_plan_, soa_instr_);
     lowerPlan(data_plan_, soa_data_);
-    plans_identical_ = instr_plan_.size() == data_plan_.size();
-    for (std::size_t i = 0; plans_identical_ && i < instr_plan_.size();
-         ++i) {
-        plans_identical_ = instr_plan_[i].id == data_plan_[i].id;
-    }
     instr_guards_ = false;
     for (const VerdictStep &step : instr_plan_)
         instr_guards_ |= step.oracle_guard;
@@ -245,30 +240,15 @@ MnmUnit::computeBypass(AccessType type, Addr addr)
 {
     if (reference_dispatch_)
         return computeBypassReference(type, addr);
-    std::uint32_t cand;
-    computeCandidates(type, &addr, &cand, 1);
-    return finishBypass(type, addr, cand);
-}
-
-void
-MnmUnit::computeCandidates(AccessType type, const Addr *addrs,
-                           std::uint32_t *cand, std::size_t n)
-{
-    const bool instr = type == AccessType::InstFetch;
-    const SoaProgram &program = instr ? soa_instr_ : soa_data_;
-    soaCompute(program, addrs, cand, n);
-}
-
-BypassMask
-MnmUnit::finishBypass(AccessType type, Addr addr, std::uint32_t cand)
-{
     ++lookups_;
     rmnm_burst_charged_ = false; // new access: new RMNM update burst
     const bool instr = type == AccessType::InstFetch;
+    const std::uint32_t cand =
+        soaCompute(instr ? soa_instr_ : soa_data_, addr);
     if (!(instr ? instr_guards_ : data_guards_))
         return BypassMask(cand);
     // Oracle-guarded steps check the candidate against live cache
-    // contents at consumption time, exactly as the reference walk does.
+    // contents, exactly as the reference walk does.
     BypassMask mask;
     const std::vector<VerdictStep> &plan =
         instr ? instr_plan_ : data_plan_;
@@ -356,11 +336,6 @@ MnmUnit::onPlacement(CacheId id, BlockAddr block)
 {
     PhaseScope prof(Phase::UpdateFeed);
     PerCache &pc = per_cache_[id];
-    // Level >= 2 state moved: filters and RMNM below, and in perfect
-    // mode the cache contents the oracle verdicts read. L1 events leave
-    // every verdict input untouched (L1 is not on any plan).
-    if (pc.rmnm_index >= 0)
-        ++state_epoch_;
     if (spec_.perfect)
         return;
     if (reference_dispatch_) {
@@ -389,8 +364,6 @@ MnmUnit::onReplacement(CacheId id, BlockAddr block)
 {
     PhaseScope prof(Phase::UpdateFeed);
     PerCache &pc = per_cache_[id];
-    if (pc.rmnm_index >= 0)
-        ++state_epoch_;
     if (spec_.perfect)
         return;
     if (reference_dispatch_) {
@@ -425,22 +398,13 @@ MnmUnit::onEventBatch(const CacheEvent *events, std::size_t n)
         return;
     }
     PhaseScope prof(Phase::FeedDrain);
+    if (spec_.perfect)
+        return; // the oracle keeps no filter state
     const UpdateStep *steps = update_plan_.data();
     Rmnm *rmnm = rmnm_.get();
-    if (spec_.perfect) {
-        // The oracle keeps no filter state; only the verdict epoch
-        // moves (cache contents it reads changed at level >= 2).
-        for (std::size_t i = 0; i < n; ++i) {
-            if (steps[events[i].cache].rmnm_index >= 0)
-                ++state_epoch_;
-        }
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i) {
         const CacheEvent &ev = events[i];
         const UpdateStep &st = steps[ev.cache];
-        if (st.rmnm_index >= 0)
-            ++state_epoch_;
         updateStepApply(st, ev.kind, ev.block);
         if (rmnm && st.rmnm_index >= 0) {
             const Addr byte_addr = static_cast<Addr>(ev.block)
@@ -478,7 +442,6 @@ void
 MnmUnit::onFlush(CacheId id)
 {
     PhaseScope prof(Phase::UpdateFeed);
-    ++state_epoch_;
     PerCache &pc = per_cache_[id];
     for (auto &filter : pc.filters)
         filter->onFlush();

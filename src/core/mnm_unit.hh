@@ -107,33 +107,6 @@ class MnmUnit : public CacheEventListener
      */
     BypassMask computeBypass(AccessType type, Addr addr);
 
-    /**
-     * Batch verdict interface (the SoA fast path; sim/memory_sim).
-     *
-     * computeCandidates() fills @p cand with one raw candidate mask per
-     * address: the pre-guard "definite miss" bits the compiled plan
-     * would produce against CURRENT filter state. It is pure -- no
-     * statistics, no energy, no guard checks -- so candidates may be
-     * computed ahead of time and consumed later, PROVIDED stateEpoch()
-     * has not moved in between (any placement/replacement/flush/fault
-     * touching verdict-relevant state bumps the epoch; recompute the
-     * not-yet-consumed tail when it does).
-     *
-     * finishBypass() then turns one candidate into the final verdict
-     * exactly as computeBypass() would have: it performs the per-access
-     * bookkeeping, applies oracle guards against live cache contents,
-     * and records violations. computeBypass(type, addr) is
-     * computeCandidates(..1..) + finishBypass.
-     */
-    void computeCandidates(AccessType type, const Addr *addrs,
-                           std::uint32_t *cand, std::size_t n);
-    BypassMask finishBypass(AccessType type, Addr addr,
-                            std::uint32_t cand);
-
-    /** True when the fetch and data paths compile to the same verdict
-     *  plan: any access type may then share one candidate span. */
-    bool plansIdentical() const { return plans_identical_; }
-
     /** Whether @p type's plan has any oracle-guarded step. Guard-free
      *  verdicts are pure data with no per-verdict statistics, so a
      *  caller that can prove a verdict will go unread (the access hits
@@ -145,21 +118,6 @@ class MnmUnit : public CacheEventListener
         return type == AccessType::InstFetch ? instr_guards_
                                              : data_guards_;
     }
-
-    /** Hint the filter-table lines a future computeCandidates for
-     *  @p addr will read (soaPrefetch; index locations are pure in the
-     *  address, so state churn cannot stale the hint). */
-    void
-    prefetchCandidates(AccessType type, Addr addr) const
-    {
-        soaPrefetch(type == AccessType::InstFetch ? soa_instr_
-                                                  : soa_data_,
-                    addr);
-    }
-
-    /** Monotone stamp of all verdict-relevant MNM state; candidates
-     *  are valid only while it holds still. */
-    std::uint64_t stateEpoch() const { return state_epoch_; }
 
     /** Charge one structure probe (caller decides per placement). */
     void chargeLookup() { ++lookup_charges_; }
@@ -176,11 +134,11 @@ class MnmUnit : public CacheEventListener
     /**
      * What an access that hits its level-1 cache costs the MNM under a
      * guard-free plan, with no verdict computed: the per-access
-     * bookkeeping finishBypass() performs, plus the lookup charge
+     * bookkeeping computeBypass() performs, plus the lookup charge
      * applyPlacementCosts() makes on an L1 hit -- only Parallel
      * placement probes the structures alongside L1, and the perfect
-     * oracle is free. Both simulators' L1-first paths call this, so
-     * their counts match the verdict path's exactly.
+     * oracle is free. The simulators' L1-first path (MemPort) calls
+     * this, so its counts match the verdict path's exactly.
      */
     void
     noteL1Hit()
@@ -360,17 +318,10 @@ class MnmUnit : public CacheEventListener
     /** SoA lowerings of the walk plans (the production verdict). */
     SoaProgram soa_instr_;
     SoaProgram soa_data_;
-    /** Both paths traverse the same level >= 2 caches (the common
-     *  split-L1-only topology), so a batch may chunk verdict spans
-     *  across fetch/data boundaries. */
-    bool plans_identical_ = false;
     /** Any oracle-guarded step on the path? Guard-free plans turn a
      *  candidate mask into the final BypassMask with no per-step loop. */
     bool instr_guards_ = false;
     bool data_guards_ = false;
-    /** Bumped by every mutation verdicts can observe; starts at 1 so
-     *  precomputed candidate spans are validated against a live value. */
-    std::uint64_t state_epoch_ = 1;
 
     PicoJoules lookup_energy_pj_ = 0.0;
     /** RMNM write energy, charged once per access burst: the fill

@@ -160,17 +160,6 @@ class Rmnm
      *  addresses at the coarsest granule every structure shares). */
     unsigned granuleBits() const { return granule_bits_; }
 
-    /** Hint the set covering @p addr into cache ahead of a batch of
-     *  missBits() probes; the SoA kernels issue these one chunk ahead
-     *  so the random-indexed entry rows are resident when walked. */
-    void
-    prefetch(Addr addr) const
-    {
-        std::uint32_t set = setOf(granuleOf(addr));
-        __builtin_prefetch(
-            &entries_[static_cast<std::size_t>(set) * num_ways_], 0, 1);
-    }
-
     /** Fault surface (core/fault_inject.hh): one miss bit per tracked
      *  cache per entry. Flips on invalid entries have no behavioral
      *  effect (lookups require valid), mirroring a strike on a

@@ -18,17 +18,15 @@
  * the coherence soa_state_test proves. The program only ever reads;
  * all mutation stays with the filter objects.
  *
- * soaCompute() evaluates the program for a span of addresses and
- * writes one raw candidate mask per address: bit c set means the plan
- * would verdict "definite miss" for cache id c BEFORE oracle guarding.
- * Guarding, statistics, and energy accounting happen at consumption
- * time in MnmUnit::finishBypass(), which keeps candidates pure data --
- * cacheable and recomputable. This scalar pass is the one production
- * verdict implementation; the virtual MissFilter walk is its reference
- * (MnmUnit::setReferenceDispatch). It stays scalar because every
- * guard-free caller asks for one address at a time, so a pass over
- * groups of addresses would not run where the time goes (DESIGN
- * decision 28).
+ * soaCompute() evaluates the program for one address and returns its
+ * raw candidate mask: bit c set means the plan would verdict "definite
+ * miss" for cache id c BEFORE oracle guarding. Guarding, statistics,
+ * and energy accounting stay in MnmUnit::computeBypass(). This scalar
+ * pass is the one production verdict implementation; the virtual
+ * MissFilter walk is its reference (MnmUnit::setReferenceDispatch).
+ * Every caller asks for one address at a time, because each verdict
+ * must see the fills of the access before it (DESIGN decisions 28 and
+ * 31).
  */
 
 #ifndef MNM_CORE_SOA_STATE_HH
@@ -161,75 +159,8 @@ soaOpMiss(const SoaOp &op, BlockAddr block)
     return false;
 }
 
-/**
- * Hint every table line the program will read for @p addr. The table
- * INDICES are pure functions of the address (state changes cell
- * values, never cell locations), so the hints can be issued any
- * distance ahead of the verdict -- epoch churn that forces a verdict
- * recompute still reads the same, now-resident lines. The dependent
- * loads here (segment LUTs, the register file) are small and stay
- * cache-hot; the big randomly-indexed state tables are only hinted.
- */
-inline void
-soaPrefetch(const SoaProgram &program, Addr addr)
-{
-    if (program.rmnm)
-        program.rmnm->prefetch(addr);
-    for (const SoaStep &step : program.steps) {
-        const BlockAddr block = addr >> step.block_bits;
-        const SoaOp *op = program.ops.data() + step.op_first;
-        const SoaOp *end = op + step.op_count;
-        for (; op != end; ++op) {
-            switch (op->kind) {
-              case FilterKind::Smnm:
-                for (std::uint32_t c = 0; c < op->sm_replication; ++c) {
-                    const Smnm::CheckerSegments &cs = op->sm_segs[c];
-                    std::uint32_t sum = 0;
-                    for (unsigned s = 0; s < cs.count; ++s) {
-                        const Smnm::SumSegment &seg = cs.seg[s];
-                        sum += seg.lut[(block >> seg.shift) & seg.mask];
-                    }
-                    __builtin_prefetch(
-                        op->sm_state +
-                        (static_cast<std::size_t>(c) *
-                             op->sm_values_per_checker +
-                         sum));
-                }
-                break;
-              case FilterKind::Tmnm:
-                for (std::uint32_t t = 0; t < op->tm_replication; ++t) {
-                    std::uint64_t idx = (block >> (6 * t)) &
-                                        lowMask(op->tm_index_bits);
-                    __builtin_prefetch(
-                        op->tm_counters +
-                        (static_cast<std::size_t>(t) * op->tm_entries +
-                         idx));
-                }
-                break;
-              case FilterKind::Cmnm:
-                for (std::uint32_t i = 0; i < op->cm_num_regs; ++i) {
-                    const Cmnm::VtagRegister &reg = op->cm_regs[i];
-                    if (!reg.valid ||
-                        Cmnm::shiftRight(block >> op->cm_index_bits,
-                                         reg.widen) !=
-                            Cmnm::shiftRight(reg.prefix, reg.widen)) {
-                        continue;
-                    }
-                    __builtin_prefetch(
-                        op->cm_counters +
-                        ((static_cast<std::size_t>(i)
-                          << op->cm_index_bits) |
-                         (block & lowMask(op->cm_index_bits))));
-                }
-                break;
-            }
-        }
-    }
-}
-
-/** Candidates for @p n addresses into @p cand. */
-void soaCompute(const SoaProgram &program, const Addr *addrs,
-                std::uint32_t *cand, std::size_t n);
+/** The candidate mask of @p addr. */
+std::uint32_t soaCompute(const SoaProgram &program, Addr addr);
 
 } // namespace mnm
 

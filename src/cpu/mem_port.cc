@@ -1,31 +1,45 @@
 #include "cpu/mem_port.hh"
 
+#include "obs/phase_profiler.hh"
+
 namespace mnm
 {
 
 MemPort::MemPort(CacheHierarchy &hierarchy, MnmUnit *mnm)
     : hierarchy_(hierarchy), mnm_(mnm),
-      fetch_(side(AccessType::InstFetch)), data_(side(AccessType::Load))
+      fetch_(makeSide(AccessType::InstFetch)),
+      data_(makeSide(AccessType::Load))
 {
 }
 
 MemPort::Side
-MemPort::side(AccessType type) const
+MemPort::makeSide(AccessType type) const
 {
     Cache &l1 = hierarchy_.cacheAt(1, type);
     return Side{&l1, l1.params().hit_latency,
                 mnm_ && mnm_->planGuarded(type)};
 }
 
-Cycles
-MemPort::walk(AccessType type, Addr addr, bool l1_missed)
+template <bool with_prof>
+AccessResult
+MemPort::walk(AccessType type, Addr addr)
 {
     BypassMask mask;
-    if (mnm_)
+    if (mnm_) {
+        ProfScope<with_prof> prof(Phase::Verdict);
         mask = mnm_->computeBypass(type, addr);
-    const AccessResult result =
-        l1_missed ? hierarchy_.accessBelowL1(type, addr, mask)
-                  : hierarchy_.access(type, addr, mask);
+    }
+    return side(type).guarded ? hierarchy_.access(type, addr, mask)
+                              : hierarchy_.accessBelowL1(type, addr, mask);
+}
+
+template AccessResult MemPort::walk<false>(AccessType, Addr);
+template AccessResult MemPort::walk<true>(AccessType, Addr);
+
+Cycles
+MemPort::missLatency(AccessType type, Addr addr)
+{
+    const AccessResult result = walk(type, addr);
     if (!mnm_)
         return result.latency;
     coverage_.record(result);

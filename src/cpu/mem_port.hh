@@ -1,9 +1,10 @@
 /**
  * @file
- * The timing cores' memory port: every fetch-line and data access of
- * OooCore and CycleOooCore goes through MemPort::access(), which asks
- * the MNM for its verdict, walks the cache hierarchy, applies the
- * placement's costs and records coverage.
+ * The memory port: the one rule that serves every access of the timing
+ * cores (OooCore, CycleOooCore) and of MemorySimulator's production
+ * loop. It asks the MNM for its verdict and walks the cache hierarchy;
+ * each caller accounts the outcome itself. access() adds the timing
+ * cores' accounting: the placement's costs and the coverage record.
  *
  * Guard-free verdict plans (every sound spec, and no MNM) run L1
  * first: the level-1 cache is probed before any verdict exists. A hit
@@ -38,20 +39,41 @@ class MemPort
     Cycles
     access(AccessType type, Addr addr)
     {
-        const Side &side =
-            type == AccessType::InstFetch ? fetch_ : data_;
-        if (side.guarded)
-            return walk(type, addr, false);
-        if (side.l1->probe(side.l1->blockAddr(addr),
-                           type == AccessType::Store)) {
-            if (mnm_)
-                mnm_->noteL1Hit();
-            return side.hit_latency;
-        }
-        return walk(type, addr, true);
+        if (l1Hit(type, addr))
+            return side(type).hit_latency;
+        return missLatency(type, addr);
     }
 
-    /** Coverage accumulated over every access (when an MNM is set). */
+    /**
+     * The L1-first half of the rule. Under a guard-free plan, probe
+     * level 1; on a hit, tell the MNM (noteL1Hit()) and return true:
+     * the access is complete, and only its L1-hit accounting is left
+     * to the caller. Under a guarded plan, probe nothing and return
+     * false.
+     */
+    bool
+    l1Hit(AccessType type, Addr addr)
+    {
+        const Side &s = side(type);
+        if (s.guarded ||
+            !s.l1->probe(s.l1->blockAddr(addr), type == AccessType::Store))
+            return false;
+        if (mnm_)
+            mnm_->noteL1Hit();
+        return true;
+    }
+
+    /**
+     * The rest of an access l1Hit() returned false for: compute the
+     * verdict, then walk the hierarchy -- from level 2 when l1Hit()
+     * probed level 1 and saw a miss, from level 1 under a guarded
+     * plan. The with_prof instantiation brackets the verdict in a
+     * Verdict phase scope; the timing cores use the scope-free one.
+     */
+    template <bool with_prof = false>
+    AccessResult walk(AccessType type, Addr addr);
+
+    /** Coverage accumulated over every access() (when an MNM is set). */
     const CoverageTracker &coverage() const { return coverage_; }
 
   private:
@@ -64,11 +86,17 @@ class MemPort
         bool guarded;
     };
 
-    Side side(AccessType type) const;
+    Side makeSide(AccessType type) const;
 
-    /** Computes the verdict and walks the hierarchy: from level 2 when
-     *  @p l1_missed (access() probed level 1), else from level 1. */
-    Cycles walk(AccessType type, Addr addr, bool l1_missed);
+    const Side &
+    side(AccessType type) const
+    {
+        return type == AccessType::InstFetch ? fetch_ : data_;
+    }
+
+    /** walk() plus the timing cores' accounting: the latency with the
+     *  MNM's added delay, and the coverage record. */
+    Cycles missLatency(AccessType type, Addr addr);
 
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;

@@ -183,8 +183,6 @@ phaseName(Phase phase)
         return "feed_drain";
       case Phase::GenOverlap:
         return "gen_overlap";
-      case Phase::LaneDescent:
-        return "lane_descent";
     }
     return "?";
 }

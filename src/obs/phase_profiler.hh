@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,17 +63,18 @@ enum class Phase : std::uint8_t
 {
     Run,        //!< MemorySimulator::run root (self = loop overhead)
     BatchGen,   //!< workload batch generation
-    L1Peek,     //!< stage-2a L1 hit peek loop (self = peeks + control)
-    Verdict,    //!< MNM verdict kernels (computeCandidates/computeBypass)
-    HierWalk,   //!< cache hierarchy walk per access (performAccess)
+    L1Peek,     //!< production request loop (self = L1 probes, L1-hit
+                //!< accounting, control)
+    Verdict,    //!< MNM verdict kernel (computeBypass)
+    HierWalk,   //!< hierarchy walk + accounting per access (on the
+                //!< production loop, only for accesses L1 did not serve)
     UpdateFeed, //!< MnmUnit on{Placement,Replacement,Flush} walks
     Cold,       //!< post-run cold accounting (energy fold, drains)
     FeedDrain,  //!< batched event-ring drain through update kernels
     GenOverlap, //!< MNM_OVERLAP: wait/handoff for producer-built batches
-    LaneDescent, //!< stage-2a queued-lane L2+ descent (walk + accounting)
 };
 
-inline constexpr int num_phases = 10;
+inline constexpr int num_phases = 9;
 
 /** Stable manifest segment for @p phase ("verdict", "update_feed", ...). */
 const char *phaseName(Phase phase);
@@ -162,6 +164,20 @@ class PhaseScope
     void leave();
     bool entered_ = false;
 };
+
+/** The profiling-off stand-in for PhaseScope: compiles to nothing, so
+ *  the with_prof=false instantiation of a hot path carries no profiler
+ *  code at all -- not even the profActive() load. */
+struct NoPhaseScope
+{
+    explicit NoPhaseScope(Phase) {}
+};
+
+/** PhaseScope or nothing, selected by a hot-path template flag. The
+ *  caller picks the instantiation once per window (the mode cannot
+ *  change mid-process). */
+template <bool with_prof>
+using ProfScope = std::conditional_t<with_prof, PhaseScope, NoPhaseScope>;
 
 /**
  * Parse MNM_PROF / MNM_PROF_FOLDED and arm the profiler (first call

@@ -26,11 +26,11 @@
 #include "cache/hierarchy.hh"
 #include "core/coverage.hh"
 #include "core/mnm_unit.hh"
+#include "cpu/mem_port.hh"
 #include "cpu/ooo_core.hh"
 #include "obs/confusion.hh"
 #include "power/sram_model.hh"
 #include "trace/workload.hh"
-#include "util/aligned.hh"
 
 namespace mnm
 {
@@ -136,6 +136,10 @@ class MemorySimulator
                              std::optional<MnmSpec> mnm_spec = std::nullopt,
                              std::uint64_t seed = 1);
 
+    /** The MNM and the memory port hold references to hierarchy_. */
+    MemorySimulator(const MemorySimulator &) = delete;
+    MemorySimulator &operator=(const MemorySimulator &) = delete;
+
     /**
      * Stream @p instructions instructions from @p workload. Repeatable:
      * each call continues from the current (warm) state; accounting is
@@ -194,50 +198,33 @@ class MemorySimulator
         std::uint64_t wb_forwarded = 0; //!< writeback probed and passed
     };
 
-    /** Post-walk accounting shared by performAccess() and the lane
-     *  queue's descendLanes consume callback: coverage, decisions,
-     *  latency/energy-event counts -- everything an access adds to the
-     *  result once its AccessResult exists. Pure sums over the record,
-     *  so invocation order across accesses cannot change any total.
-     *  Force-inlined: it was part of the performAccess template body
-     *  before the lane queue split it out, and every call site is on
-     *  the per-access hot path. */
+    /** Post-walk accounting shared by both loops: coverage,
+     *  decisions, latency/energy-event counts -- everything an access
+     *  adds to the result once its AccessResult exists. Pure sums over
+     *  the record, so invocation order across accesses cannot change
+     *  any total. Force-inlined: both call sites are on the per-access
+     *  hot path. */
     __attribute__((always_inline)) void
     accountAccess(const AccessResult &access, MemSimResult &result);
 
-    /** One request through MNM + hierarchy with full accounting.
-     *  Templated on profiling like the batch path: run() selects the
-     *  instantiation once per window, so with MNM_PROF off even the
-     *  single-step stream carries zero profiler code per access. */
+    /** One request of the reference loop: the verdict first, then the
+     *  walk from level 1, with full accounting. Templated on profiling
+     *  like the batch path: run() selects the instantiation once per
+     *  window, so with MNM_PROF off even the single-step stream carries
+     *  zero profiler code per access. */
     template <bool with_prof>
     void request(AccessType type, Addr addr, MemSimResult &result);
 
-    /** The hierarchy walk and accounting behind request(), taking the
-     *  verdict as input (the batch path precomputes verdicts). The
-     *  with_prof instantiation brackets the walk in a HierWalk phase
-     *  scope; the other compiles with zero profiler code -- not even
-     *  the profActive() load -- because a per-access check is what the
-     *  MNM_PROF-off <2% overhead budget cannot afford. Callers select
-     *  an instantiation once per run/batch window (the mode cannot
-     *  change mid-process). With below_l1 the caller already probed
-     *  level 1 itself and saw a miss (the batch path's L1 fast path),
-     *  so the walk resumes below it via accessBelowL1(). */
-    template <bool with_prof, bool below_l1 = false>
-    void performAccess(AccessType type, Addr addr,
-                       const BypassMask &mask, MemSimResult &result);
-
-    /** Batch path: consume one pre-derived request batch -- verdict it
-     *  through the MNM's kernels (L1-peek + lane queue for guard-free
-     *  plans and for no MNM, chunked SoA kernels for guarded ones),
-     *  walk, account.
-     *  The request stream arrives already derived (the generators'
-     *  nextRequests() fuses derivation into generation), so this is
-     *  pure consumption. Templated like performAccess: run() picks the
-     *  instantiation once, so the off path stays scope-free per
-     *  access. */
+    /** Production loop: consume one pre-derived request batch, one
+     *  request at a time, through the memory port's rule (L1 first for
+     *  guard-free plans and for no MNM, verdict first for guarded
+     *  ones; cpu/mem_port.hh), and account each access. The request
+     *  stream arrives already derived (the generators' nextRequests()
+     *  fuses derivation into generation), so this is pure consumption.
+     *  run() picks the with_prof instantiation once, so the off path
+     *  stays scope-free per access. */
     template <bool with_prof>
-    void runBatchRequests(const RequestBatch &batch, const Cache &l1i,
-                          MemSimResult &result);
+    void runBatchRequests(const RequestBatch &batch, MemSimResult &result);
 
     /** One instruction of the reference loop: fetch-line dedup plus
      *  the data request. */
@@ -262,20 +249,15 @@ class MemorySimulator
 
     CacheHierarchy hierarchy_;
     std::unique_ptr<MnmUnit> mnm_;
+    /** The production loop's request rule (shared with the timing
+     *  cores). */
+    MemPort port_;
     /** Per-cache probe/fill energies from the analytical model. */
     std::vector<PowerDelay> cache_power_;
     std::vector<CacheEventCounts> event_counts_;
-    /** Per-batch verdict scratch for the guarded (stage 2b) path,
-     *  allocated lazily. */
-    AlignedArray<std::uint32_t> req_cand_;
     bool reference_kernel_ = false;
     /** MNM_OVERLAP: let the RequestPipeline run a producer thread. */
     bool overlap_;
-    /** Lane-queue pending-set conflict bitmaps, one bit per L1 set
-     *  ([0] = I-side, [1] = D-side; one shared vector when level 1 is
-     *  unified). Sized lazily by the stage-2a fast path; bits live
-     *  only between a lane's enqueue and its flush. */
-    std::vector<std::uint64_t> pending_sets_[2];
     PicoJoules mnm_energy_seen_ = 0.0; //!< consumed total at last drain
     Addr cur_fetch_line_ = invalid_addr;
 };

@@ -6,10 +6,13 @@
  * *bit-identical* results -- every counter, the coverage and confusion
  * breakdowns, and the energy doubles -- across the preset grid: the
  * five techniques plus the perfect MNM and the bare hierarchy, under
- * all three placements, and with faults injected mid-run. The bare
- * hierarchy also runs on 2-, 3- and 7-level machines and an inclusive
- * 5-level one, so both of its production routes (the lane queue and
- * the immediate below-L1 walk) face the reference. The update side
+ * all three placements, and with faults injected mid-run. The grid
+ * also holds the guarded plans (the PaperReset CMNM ablation and an
+ * oracle-checked HMNM4), MNMs on an inclusive 5-level machine and on
+ * the 7-level one, and the bare hierarchy on 2-, 3-, 7-level and
+ * inclusive machines, so both production routes -- L1 first for
+ * guard-free plans, verdict first for guarded ones -- face the
+ * reference on every inclusion policy. The update side
  * gets the same treatment: the batched event ring drained through
  * devirtualized update kernels against the per-event virtual listener
  * feed (setReferenceFeed), faulted runs included.
@@ -43,6 +46,22 @@ struct KernelCase
     std::optional<MnmSpec> spec;
 };
 
+/** An MNM on a machine other than the 5-level preset. */
+struct MachineCase
+{
+    std::string label;
+    MnmSpec spec;
+    HierarchyParams machine;
+};
+
+HierarchyParams
+inclusiveHierarchy(int levels)
+{
+    HierarchyParams params = paperHierarchy(levels);
+    params.inclusion = InclusionPolicy::Inclusive;
+    return params;
+}
+
 std::vector<KernelCase>
 presetGrid()
 {
@@ -64,7 +83,40 @@ presetGrid()
                 {std::string(name) + "/" + pname, spec});
         }
     }
+    // Guarded plans: every verdict is consumed, L1 hits included, so
+    // the production loop computes it before the L1 probe.
+    cases.push_back(
+        {"CMNM_4_10_PaperReset",
+         makeUniformSpec(CmnmSpec{4, 10, 3, CmnmMaskPolicy::PaperReset})});
+    MnmSpec oracle = mnmSpecByName("HMNM4");
+    oracle.oracle_check = true;
+    cases.push_back({"HMNM4_oracle_check", oracle});
     return cases;
+}
+
+std::vector<MachineCase>
+machineCases()
+{
+    std::vector<MachineCase> cases;
+    // Inclusive machines: a below-L1 walk may back-invalidate L1.
+    for (const char *name : {"HMNM4", "TMNM_12x3"}) {
+        cases.push_back({std::string(name) + "/inclusive_5_levels",
+                         mnmSpecByName(name), inclusiveHierarchy(5)});
+    }
+    cases.push_back(
+        {"HMNM4/7_levels", mnmSpecByName("HMNM4"), paperHierarchy(7)});
+    return cases;
+}
+
+/** A gtest-legal name for a case label. */
+std::string
+testName(std::string label)
+{
+    for (char &c : label) {
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    }
+    return label;
 }
 
 /** Every counter, breakdown, and energy double must match exactly.
@@ -139,36 +191,33 @@ expectIdenticalResults(const MemSimResult &batched,
     }
 }
 
-class KernelEquivalenceTest
-    : public ::testing::TestWithParam<KernelCase>
+/** The production loop against the reference step loop. Two runs: the
+ *  second starts warm, covering the carried state (filters, coverage,
+ *  cumulative violation counters). */
+void
+expectBatchedMatchesReference(const HierarchyParams &machine,
+                              const std::optional<MnmSpec> &spec)
 {
-};
-
-TEST_P(KernelEquivalenceTest, BatchedMatchesReferenceOnPresetMachine)
-{
-    const KernelCase &c = GetParam();
     auto run_case = [&](bool reference) {
-        MemorySimulator sim(paperHierarchy(5), c.spec);
+        MemorySimulator sim(machine, spec);
         sim.setReferenceKernel(reference);
         auto workload = makeSpecWorkload(workload_name);
-        // Two runs: the second starts warm, covering the carried
-        // state (filters, coverage, cumulative violation counters).
         sim.run(*workload, run_instructions / 2);
         return sim.run(*workload, run_instructions / 2);
     };
     expectIdenticalResults(run_case(false), run_case(true));
 }
 
-TEST_P(KernelEquivalenceTest, BatchedFeedMatchesVirtualFeedOnPresetMachine)
+/** The update-side axis: the batched event ring drained through the
+ *  devirtualized update kernels (default) against the per-event
+ *  virtual listener feed (half of MNM_REFERENCE=1). Both sides run the
+ *  batched verdict kernel, so any divergence is the feed's fault. */
+void
+expectBatchedFeedMatchesVirtualFeed(const HierarchyParams &machine,
+                                    const std::optional<MnmSpec> &spec)
 {
-    // The update-side axis: the batched event ring drained through the
-    // devirtualized update kernels (default) against the per-event
-    // virtual listener feed (half of MNM_REFERENCE=1). Both sides run
-    // the batched verdict kernel, so any divergence is the feed's
-    // fault.
-    const KernelCase &c = GetParam();
     auto run_case = [&](bool reference_feed) {
-        MemorySimulator sim(paperHierarchy(5), c.spec);
+        MemorySimulator sim(machine, spec);
         if (reference_feed)
             sim.setReferenceFeed(true);
         auto workload = makeSpecWorkload(workload_name);
@@ -178,16 +227,46 @@ TEST_P(KernelEquivalenceTest, BatchedFeedMatchesVirtualFeedOnPresetMachine)
     expectIdenticalResults(run_case(false), run_case(true));
 }
 
+class KernelEquivalenceTest
+    : public ::testing::TestWithParam<KernelCase>
+{
+};
+
+TEST_P(KernelEquivalenceTest, BatchedMatchesReferenceOnPresetMachine)
+{
+    expectBatchedMatchesReference(paperHierarchy(5), GetParam().spec);
+}
+
+TEST_P(KernelEquivalenceTest, BatchedFeedMatchesVirtualFeedOnPresetMachine)
+{
+    expectBatchedFeedMatchesVirtualFeed(paperHierarchy(5),
+                                        GetParam().spec);
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    PresetGrid, KernelEquivalenceTest,
-    ::testing::ValuesIn(presetGrid()), [](const auto &info) {
-        std::string n = info.param.label;
-        for (char &c : n) {
-            if (!std::isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        }
-        return n;
-    });
+    PresetGrid, KernelEquivalenceTest, ::testing::ValuesIn(presetGrid()),
+    [](const auto &info) { return testName(info.param.label); });
+
+class MachineEquivalenceTest
+    : public ::testing::TestWithParam<MachineCase>
+{
+};
+
+TEST_P(MachineEquivalenceTest, BatchedMatchesReference)
+{
+    expectBatchedMatchesReference(GetParam().machine, GetParam().spec);
+}
+
+TEST_P(MachineEquivalenceTest, BatchedFeedMatchesVirtualFeed)
+{
+    expectBatchedFeedMatchesVirtualFeed(GetParam().machine,
+                                        GetParam().spec);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OtherMachines, MachineEquivalenceTest,
+    ::testing::ValuesIn(machineCases()),
+    [](const auto &info) { return testName(info.param.label); });
 
 TEST(KernelEquivalenceTest, FaultedFiltersMatchReferenceExactly)
 {
@@ -328,11 +407,7 @@ bareMachines()
     for (int levels : {2, 3, 7})
         machines.push_back(
             {std::to_string(levels) + "_levels", paperHierarchy(levels)});
-    // Inclusive machines walk each L1 miss on the spot (a deferred walk
-    // could back-invalidate any L1 set), so they skip the lane queue.
-    HierarchyParams inclusive = paperHierarchy(5);
-    inclusive.inclusion = InclusionPolicy::Inclusive;
-    machines.push_back({"inclusive_5_levels", inclusive});
+    machines.push_back({"inclusive_5_levels", inclusiveHierarchy(5)});
     return machines;
 }
 
@@ -344,8 +419,7 @@ class BareHierarchyEquivalenceTest
 TEST_P(BareHierarchyEquivalenceTest, BatchedMatchesReferenceWithoutMnm)
 {
     // No MNM runs the production request loop as a guard-free plan
-    // with empty bypass masks: the lane queue on non-inclusive
-    // machines, the immediate below-L1 walk on inclusive ones. Both
+    // with empty bypass masks: probe L1, walk below it on a miss. Both
     // overlap schedules must reproduce the reference step loop.
     const HierarchyParams &params = GetParam().params;
     auto run_case = [&](bool reference, bool overlap) {

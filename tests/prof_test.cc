@@ -352,15 +352,21 @@ TEST(ProfTest, WorkerProcessesShipAttributionOverTheResultPipe)
     }
     EXPECT_GT(lines, 0u);
     std::uint64_t manifest_ticks = 0;
+    double manifest_share = 0.0;
     for (int p = 0; p < num_phases; ++p) {
-        const std::string key =
-            std::string("prof.") + phaseName(static_cast<Phase>(p)) +
-            ".ticks";
-        if (stats.has(key))
-            manifest_ticks += static_cast<std::uint64_t>(stats.gauge(key));
+        const std::string base =
+            std::string("prof.") + phaseName(static_cast<Phase>(p));
+        if (stats.has(base + ".ticks")) {
+            manifest_ticks +=
+                static_cast<std::uint64_t>(stats.gauge(base + ".ticks"));
+            manifest_share += stats.gauge(base + ".share");
+        }
     }
     EXPECT_GT(manifest_ticks, 0u);
     EXPECT_EQ(folded_ticks, manifest_ticks);
+    // The shares cover the whole total: no charged phase is missing
+    // from the manifest.
+    EXPECT_NEAR(manifest_share, 1.0, 1e-9);
     std::remove(folded_path.c_str());
     globalStats().clear();
 }
