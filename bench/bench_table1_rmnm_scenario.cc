@@ -7,11 +7,12 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "cache/hierarchy.hh"
+#include "core/coverage.hh"
 #include "core/mnm_unit.hh"
 #include "core/presets.hh"
-#include "obs/confusion.hh"
 #include "obs/manifest.hh"
 #include "obs/registry.hh"
 
@@ -85,13 +86,12 @@ main()
     Narrator narrator(mnm, hierarchy);
     hierarchy.setListener(&narrator);
 
-    DecisionMatrix decisions;
+    const std::vector<CacheStats> start = cacheCounters(hierarchy);
     auto access = [&](Addr addr) {
         BypassMask mask = mnm.computeBypass(AccessType::Load, addr);
         std::printf("  access 0x%llx\n",
                     static_cast<unsigned long long>(addr));
         AccessResult r = hierarchy.access(AccessType::Load, addr, mask);
-        decisions.recordAccess(r);
         for (std::uint8_t i = 0; i < r.num_probes; ++i) {
             const ProbeRecord &p = r.probes[i];
             std::printf(
@@ -116,9 +116,8 @@ main()
                     mnm.soundnessViolations()));
 
     // Fold the scenario's decision matrix into the run manifest.
-    for (std::uint32_t l = 0; l < DecisionMatrix::max_levels; ++l)
-        decisions.setForbidden(l, mnm.violationsAtLevel(l));
-    decisions.registerInto(globalStats(), "table1.confusion");
+    countWindow(hierarchy, &mnm, start)
+        .decisions.registerInto(globalStats(), "table1.confusion");
     globalStats().addCounter("table1.soundness_violations",
                              mnm.soundnessViolations());
     return 0;

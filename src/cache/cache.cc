@@ -160,6 +160,7 @@ Cache::fill(BlockAddr block, bool dirty, bool known_absent)
                 plruTouch(set, way);
             if (dirty)
                 state_[idx] |= line_dirty;
+            ++stats_.refills;
             return {};
         }
     }

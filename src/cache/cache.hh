@@ -66,7 +66,9 @@ struct CacheParams
     }
 };
 
-/** Event counts for one cache structure. */
+/** Event counts for one cache structure: the only count of what
+ *  happened to it. Per-window energy, coverage and decision counts are
+ *  differences of these (countWindow(), core/coverage.hh). */
 struct CacheStats
 {
     Counter accesses;  //!< probes actually performed (not bypassed)
@@ -76,7 +78,8 @@ struct CacheStats
     Counter mru_hits;
     Counter misses;
     Counter bypasses;  //!< probes skipped on MNM "miss" verdicts
-    Counter fills;
+    Counter fills;     //!< fill() calls that inserted the block
+    Counter refills;   //!< fill() calls that found it already resident
     Counter evictions;
     Counter writebacks;        //!< evictions of dirty blocks
     Counter writeback_probes;  //!< incoming writebacks checked here

@@ -261,11 +261,8 @@ CacheHierarchy::writeback(const std::vector<CacheId> &route,
     // existing copy, so no replacements (and no MNM events) occur.
     for (std::uint32_t level = from_level + 1; level <= levels();
          ++level) {
-        CacheId id = route[level - 1];
-        Cache &c = *caches_[id];
-        bool absorbed = c.absorbWriteback(c.blockAddr(victim_addr));
-        result.addWriteback({id, absorbed});
-        if (absorbed)
+        Cache &c = *caches_[route[level - 1]];
+        if (c.absorbWriteback(c.blockAddr(victim_addr)))
             return;
     }
     ++result.memory_writebacks;

@@ -158,10 +158,9 @@ class BypassMask
 };
 
 /** What happened at one cache during an access. No default member
- *  initializers: AccessResult embeds arrays of these, and zeroing the
- *  full arrays per access would cost more than the access itself for
- *  L1 hits. Only entries below num_probes/num_writebacks are written
- *  and read. */
+ *  initializers: AccessResult embeds an array of these, and zeroing it
+ *  per access would cost more than the access itself for L1 hits. Only
+ *  entries below num_probes are written and read. */
 struct ProbeRecord
 {
     CacheId cache;
@@ -170,25 +169,17 @@ struct ProbeRecord
     bool hit;
 };
 
-/** One hop of a writeback chain triggered by this access. */
-struct WritebackRecord
-{
-    CacheId cache;
-    /** The block was found and dirtied here (chain ends). */
-    bool absorbed;
-};
-
-/** Outcome of one hierarchy access. */
+/** Outcome of one hierarchy access. What the access did to each cache
+ *  -- probes, bypasses, fills, writeback hops -- is counted in that
+ *  cache's CacheStats; this record carries what the caller needs per
+ *  access: the latency, the supplier, and the walk's probe records
+ *  (the placement costs of a distributed MNM read them). */
 struct AccessResult
 {
     // One probe per cache on the access path plus the memory slot:
     // sized for the 32-structure BypassMask ceiling so hierarchy depth
     // is bounded by the mask, not by this record.
     static constexpr std::size_t max_probes = 34;
-    // Every filled level can evict a dirty victim whose writeback
-    // drains one hop per lower level, so one access produces at most
-    // sum_{L=1}^{n}(n-L) = n(n-1)/2 hops; n <= 32 gives 496.
-    static constexpr std::size_t max_writebacks = 496;
 
     /** 1-based level that supplied the data; levels()+1 means memory. */
     std::uint8_t supply_level = 0;
@@ -200,9 +191,6 @@ struct AccessResult
     Cycles supply_latency = 0;
     std::uint8_t num_probes = 0;
     ProbeRecord probes[max_probes];
-    /** Writeback hops this access triggered (off the critical path). */
-    std::uint16_t num_writebacks = 0;
-    WritebackRecord writebacks[max_writebacks];
     /** Dirty blocks that drained all the way to memory. */
     std::uint8_t memory_writebacks = 0;
 
@@ -211,19 +199,10 @@ struct AccessResult
     {
         // Depth is bounded by the BypassMask ceiling at construction,
         // so running out of probe slots is a logic bug, not a
-        // configuration problem. Never drop records silently: every
-        // probe feeds energy/event accounting.
+        // configuration problem. Never drop records silently.
         MNM_ASSERT(num_probes < max_probes,
                    "AccessResult probe record overflow");
         probes[num_probes++] = rec;
-    }
-
-    void
-    addWriteback(const WritebackRecord &rec)
-    {
-        MNM_ASSERT(num_writebacks < max_writebacks,
-                   "AccessResult writeback record overflow");
-        writebacks[num_writebacks++] = rec;
     }
 };
 

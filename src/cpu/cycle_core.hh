@@ -61,8 +61,8 @@ class CycleOooCore
     /** Run @p count instructions from @p workload; returns timing. */
     CpuRunStats run(WorkloadGenerator &workload, std::uint64_t count);
 
-    /** Coverage accumulated across run() calls (when an MNM is set). */
-    const CoverageTracker &coverage() const { return port_.coverage(); }
+    /** Coverage of every run() call so far (empty without an MNM). */
+    CoverageTracker coverage() const { return port_.coverage(); }
 
   private:
     /** One RUU entry; instruction seq lives in slot seq & (size - 1). */

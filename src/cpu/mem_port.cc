@@ -8,7 +8,7 @@ namespace mnm
 MemPort::MemPort(CacheHierarchy &hierarchy, MnmUnit *mnm)
     : hierarchy_(hierarchy), mnm_(mnm),
       fetch_(makeSide(AccessType::InstFetch)),
-      data_(makeSide(AccessType::Load))
+      data_(makeSide(AccessType::Load)), start_(cacheCounters(hierarchy))
 {
 }
 
@@ -42,7 +42,6 @@ MemPort::missLatency(AccessType type, Addr addr)
     const AccessResult result = walk(type, addr);
     if (!mnm_)
         return result.latency;
-    coverage_.record(result);
     return result.latency + mnm_->applyPlacementCosts(result);
 }
 

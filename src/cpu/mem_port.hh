@@ -4,7 +4,9 @@
  * cores (OooCore, CycleOooCore) and of MemorySimulator's production
  * loop. It asks the MNM for its verdict and walks the cache hierarchy;
  * each caller accounts the outcome itself. access() adds the timing
- * cores' accounting: the placement's costs and the coverage record.
+ * cores' accounting: the placement's costs. What the accesses did to
+ * the caches is counted by the caches themselves; coverage() derives
+ * the port's coverage from those counters (core/coverage.hh).
  *
  * Guard-free verdict plans (every sound spec, and no MNM) run L1
  * first: the level-1 cache is probed before any verdict exists. A hit
@@ -18,6 +20,8 @@
 
 #ifndef MNM_CPU_MEM_PORT_HH
 #define MNM_CPU_MEM_PORT_HH
+
+#include <vector>
 
 #include "cache/hierarchy.hh"
 #include "core/coverage.hh"
@@ -73,8 +77,13 @@ class MemPort
     template <bool with_prof = false>
     AccessResult walk(AccessType type, Addr addr);
 
-    /** Coverage accumulated over every access() (when an MNM is set). */
-    const CoverageTracker &coverage() const { return coverage_; }
+    /** Coverage of every access since the port was built (empty
+     *  without an MNM), derived from the caches' counters. */
+    CoverageTracker
+    coverage() const
+    {
+        return countWindow(hierarchy_, mnm_, start_).coverage;
+    }
 
   private:
     /** An access type's level-1 cache, resolved at construction. */
@@ -95,14 +104,15 @@ class MemPort
     }
 
     /** walk() plus the timing cores' accounting: the latency with the
-     *  MNM's added delay, and the coverage record. */
+     *  MNM's added delay. */
     Cycles missLatency(AccessType type, Addr addr);
 
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;
     Side fetch_;
     Side data_;
-    CoverageTracker coverage_;
+    /** The caches' counters when the port was built. */
+    std::vector<CacheStats> start_;
 };
 
 } // namespace mnm

@@ -116,8 +116,8 @@ class OooCore
     /** Run @p count instructions from @p workload; returns timing. */
     CpuRunStats run(WorkloadGenerator &workload, std::uint64_t count);
 
-    /** Coverage accumulated across run() calls (when an MNM is set). */
-    const CoverageTracker &coverage() const { return port_.coverage(); }
+    /** Coverage of every run() call so far (empty without an MNM). */
+    CoverageTracker coverage() const { return port_.coverage(); }
 
   private:
     CpuParams params_;

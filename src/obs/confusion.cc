@@ -5,55 +5,41 @@
 namespace mnm
 {
 
-void
-DecisionMatrix::recordAccess(const AccessResult &result)
+DecisionMatrix::Cells &
+DecisionMatrix::grow(std::uint32_t level)
 {
-    for (std::uint8_t i = 0; i < result.num_probes; ++i) {
-        const ProbeRecord &probe = result.probes[i];
-        if (probe.level < 2 || probe.level >= max_levels)
-            continue; // level-1 outcomes are never predicted
-        Cells &cells = levels_[probe.level];
-        if (probe.bypassed) {
-            // A bypassed cache was never probed, so it cannot have hit:
-            // an acted-upon predicted-miss/actual-hit would mean the
-            // hierarchy skipped a resident block -- architectural
-            // corruption, not a statistic.
-            MNM_ASSERT(!probe.hit,
-                       "bypassed probe reports a hit (acted-upon "
-                       "soundness violation)");
-            ++cells.predicted_miss_actual_miss;
-        } else if (probe.hit) {
-            ++cells.maybe_actual_hit;
-        } else {
-            ++cells.maybe_actual_miss;
-        }
-    }
+    MNM_ASSERT(level < max_levels, "decision-matrix level out of range");
+    if (level >= levels_.size())
+        levels_.resize(level + 1);
+    return levels_[level];
+}
+
+void
+DecisionMatrix::add(std::uint32_t level, const Cells &cells)
+{
+    grow(level) += cells;
 }
 
 void
 DecisionMatrix::setForbidden(std::uint32_t level, std::uint64_t count)
 {
-    if (level < max_levels)
-        levels_[level].predicted_miss_actual_hit = count;
+    grow(level).predicted_miss_actual_hit = count;
 }
 
 const DecisionMatrix::Cells &
 DecisionMatrix::at(std::uint32_t level) const
 {
     MNM_ASSERT(level < max_levels, "decision-matrix level out of range");
-    return levels_[level];
+    static const Cells none;
+    return level < levels_.size() ? levels_[level] : none;
 }
 
 DecisionMatrix::Cells
 DecisionMatrix::totals() const
 {
     Cells sum;
-    for (const Cells &cells : levels_) {
-        sum.predicted_miss_actual_miss += cells.predicted_miss_actual_miss;
-        sum.maybe_actual_miss += cells.maybe_actual_miss;
-        sum.maybe_actual_hit += cells.maybe_actual_hit;
-        sum.predicted_miss_actual_hit += cells.predicted_miss_actual_hit;
-    }
+    for (const Cells &cells : levels_)
+        sum += cells;
     return sum;
 }
 
@@ -82,14 +68,8 @@ DecisionMatrix::coverageAt(std::uint32_t level) const
 void
 DecisionMatrix::merge(const DecisionMatrix &other)
 {
-    for (std::size_t i = 0; i < max_levels; ++i) {
-        levels_[i].predicted_miss_actual_miss +=
-            other.levels_[i].predicted_miss_actual_miss;
-        levels_[i].maybe_actual_miss += other.levels_[i].maybe_actual_miss;
-        levels_[i].maybe_actual_hit += other.levels_[i].maybe_actual_hit;
-        levels_[i].predicted_miss_actual_hit +=
-            other.levels_[i].predicted_miss_actual_hit;
-    }
+    for (std::uint32_t l = 0; l < other.levels_.size(); ++l)
+        add(l, other.levels_[l]);
 }
 
 void
@@ -99,17 +79,10 @@ DecisionMatrix::reset()
 }
 
 void
-DecisionMatrix::setCells(std::uint32_t level, const Cells &cells)
-{
-    if (level < max_levels)
-        levels_[level] = cells;
-}
-
-void
 DecisionMatrix::registerInto(StatsRegistry &registry,
                              const std::string &prefix) const
 {
-    for (std::uint32_t level = 0; level < max_levels; ++level) {
+    for (std::uint32_t level = 0; level < levels_.size(); ++level) {
         const Cells &cells = levels_[level];
         if (cells.decisions() == 0)
             continue;
@@ -128,7 +101,7 @@ DecisionMatrix::registerInto(StatsRegistry &registry,
 void
 DecisionMatrix::assertSound(const char *context) const
 {
-    for (std::uint32_t level = 0; level < max_levels; ++level) {
+    for (std::uint32_t level = 0; level < levels_.size(); ++level) {
         if (levels_[level].predicted_miss_actual_hit != 0) {
             panic("soundness violation: %llu predicted-miss/actual-hit "
                   "decisions at level %u (%s)",

@@ -22,18 +22,20 @@
  *    configurations the cell must be zero, and the tier-1 tests assert
  *    it (see assertSound() and DESIGN.md).
  *
- * An acted-upon forbidden decision cannot even be represented: a
- * bypassed probe that claims to have hit trips an MNM_ASSERT in
- * recordAccess().
+ * The three sound cells are differences of the caches' own counters
+ * (bypasses, misses and hits at levels >= 2), filled in by
+ * countWindow() (core/coverage.hh). An acted-upon forbidden decision
+ * cannot even be represented: a bypassed cache performs no probe, so it
+ * never counts a hit.
  */
 
 #ifndef MNM_OBS_CONFUSION_HH
 #define MNM_OBS_CONFUSION_HH
 
-#include <array>
 #include <cstdint>
+#include <string>
+#include <vector>
 
-#include "cache/hierarchy.hh"
 #include "obs/registry.hh"
 
 namespace mnm
@@ -43,7 +45,8 @@ namespace mnm
 class DecisionMatrix
 {
   public:
-    static constexpr std::size_t max_levels = 16;
+    /** Level indices 0..32: every depth the 32-bit BypassMask allows. */
+    static constexpr std::size_t max_levels = 33;
 
     /** One level's decision counts. */
     struct Cells
@@ -67,17 +70,20 @@ class DecisionMatrix
         {
             return predicted_miss_actual_miss + maybe_actual_miss;
         }
+
+        Cells &
+        operator+=(const Cells &o)
+        {
+            predicted_miss_actual_miss += o.predicted_miss_actual_miss;
+            maybe_actual_miss += o.maybe_actual_miss;
+            maybe_actual_hit += o.maybe_actual_hit;
+            predicted_miss_actual_hit += o.predicted_miss_actual_hit;
+            return *this;
+        }
     };
 
-    /**
-     * Fold one completed access into the matrix: every probed or
-     * bypassed cache at level >= 2 contributes one decision (level-1
-     * outcomes are never predicted, mirroring CoverageTracker). The
-     * forbidden cell is not touched here -- a suppressed unsound
-     * verdict leaves no trace in the AccessResult; it is reported by
-     * the MnmUnit and folded in via setForbidden().
-     */
-    void recordAccess(const AccessResult &result);
+    /** Add @p cells to level @p level's cells, cell by cell. */
+    void add(std::uint32_t level, const Cells &cells);
 
     /** Overwrite the forbidden-cell count for @p level (cumulative
      *  totals from MnmUnit::violationsAtLevel). */
@@ -98,9 +104,6 @@ class DecisionMatrix
 
     void reset();
 
-    /** Overwrite one level's cells (checkpoint journal replay). */
-    void setCells(std::uint32_t level, const Cells &cells);
-
     /**
      * Fold the non-empty levels into @p registry as counters named
      * "<prefix>.l<level>.<cell>".
@@ -112,7 +115,12 @@ class DecisionMatrix
     void assertSound(const char *context) const;
 
   private:
-    std::array<Cells, max_levels> levels_{};
+    /** Sized up to the deepest level set: a sweep keeps many results,
+     *  most of them for 5-level machines. */
+    std::vector<Cells> levels_;
+
+    /** levels_[level], growing levels_ to reach it. */
+    Cells &grow(std::uint32_t level);
 };
 
 } // namespace mnm

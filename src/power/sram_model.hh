@@ -86,6 +86,27 @@ struct PowerDelay
     std::string toString() const;
 };
 
+/** Dynamic-energy breakdown of a run, picojoules. */
+struct EnergyBreakdown
+{
+    PicoJoules probe_hit_pj = 0.0;  //!< probes that hit
+    PicoJoules probe_miss_pj = 0.0; //!< probes that missed (wasted)
+    PicoJoules fill_pj = 0.0;       //!< allocations on the fill path
+    PicoJoules writeback_pj = 0.0;  //!< dirty-victim drain traffic
+    PicoJoules mnm_pj = 0.0;        //!< MNM lookups + updates
+
+    PicoJoules cacheTotal() const
+    {
+        return probe_hit_pj + probe_miss_pj + fill_pj + writeback_pj;
+    }
+    PicoJoules total() const { return cacheTotal() + mnm_pj; }
+    double missFraction() const
+    {
+        double t = cacheTotal();
+        return t > 0.0 ? probe_miss_pj / t : 0.0;
+    }
+};
+
 /** Physical description of a set-associative cache for the model. */
 struct CacheGeometry
 {

@@ -185,9 +185,15 @@ runCore(const SweepCell &cell)
         core.run(*workload, warmup);
 
     MemSimResult result;
+    const std::vector<CacheStats> start = cacheCounters(hierarchy);
     result.cpu = core.run(*workload, cell.instructions);
     result.instructions = result.cpu.instructions;
     result.caches = snapshotCaches(hierarchy);
+    // What the MNM did in the measured window, as a functional cell
+    // reports it (the timing cells report no energy).
+    WindowCounts counts = countWindow(hierarchy, mnm.get(), start);
+    result.coverage = counts.coverage;
+    result.decisions = counts.decisions;
     if (mnm) {
         result.soundness_violations = mnm->soundnessViolations();
         result.mnm_storage_bits = mnm->storageBits();
@@ -254,11 +260,8 @@ runDtlb(const SweepCell &cell)
     result.caches.push_back(snap);
     result.instructions = cell.instructions;
     if (filter) {
-        std::array<std::uint64_t, CoverageTracker::max_levels> id_at{};
-        std::array<std::uint64_t, CoverageTracker::max_levels> un_at{};
-        id_at[1] = filter->identified() - id_before;
-        un_at[1] = filter->unidentified() - un_before;
-        result.coverage.restore(id_at[1], un_at[1], id_at, un_at);
+        result.coverage.add(1, filter->identified() - id_before,
+                            filter->unidentified() - un_before);
         result.energy.mnm_pj = filter->consumedEnergyPj() - pj_before;
         result.soundness_violations = filter->soundnessViolations();
     }

@@ -79,50 +79,15 @@ MemorySimulator::accountAccess(const AccessResult &access,
                                MemSimResult &result)
 {
     ++result.requests;
-    if (mnm_) {
-        result.coverage.record(access);
-        result.decisions.recordAccess(access);
-    }
-
-    Cycles latency = access.latency;
     if (access.from_memory)
         ++result.memory_accesses;
-    // The walk plan recorded the supplier's hit latency (memory latency
-    // when from_memory), so no cacheAt() re-walk per request.
-    const Cycles supply_cost = access.supply_latency;
-
+    Cycles latency = access.latency;
     if (mnm_)
         latency += mnm_->applyPlacementCosts(access);
-
     result.total_access_cycles += latency;
-    result.miss_cycles += latency - supply_cost;
-
-    // Energy: probes split hit/miss; every level under the supplier was
-    // (re)filled on the way back. The hot path only counts events; the
-    // per-event energies are multiplied out once at the end of run().
-    for (std::uint8_t i = 0; i < access.num_probes; ++i) {
-        const ProbeRecord &probe = access.probes[i];
-        CacheEventCounts &ec = event_counts_[probe.cache];
-        if (!probe.bypassed) {
-            if (probe.hit) {
-                ++ec.probe_hit;
-            } else {
-                ++ec.probe_miss;
-            }
-        }
-        if (probe.level < access.supply_level)
-            ++ec.fill;
-    }
-    for (std::uint16_t i = 0; i < access.num_writebacks; ++i) {
-        const WritebackRecord &wb = access.writebacks[i];
-        // Absorbing dirties a resident copy (a write); passing through
-        // still paid a tag probe (charged as a read).
-        if (wb.absorbed) {
-            ++event_counts_[wb.cache].wb_absorbed;
-        } else {
-            ++event_counts_[wb.cache].wb_forwarded;
-        }
-    }
+    // The walk recorded the supplier's hit latency (memory latency
+    // when from_memory), so no cacheAt() re-walk per request.
+    result.miss_cycles += latency - access.supply_latency;
 }
 
 template <bool with_prof>
@@ -138,12 +103,10 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
     result.fetch_requests += batch.fetch_requests;
     result.data_requests += batch.data_requests;
 
-    const CacheId l1i_id = hierarchy_.path(AccessType::InstFetch)[0];
-    const CacheId l1d_id = hierarchy_.path(AccessType::Load)[0];
     const Cycles l1i_hit_latency =
-        hierarchy_.cache(l1i_id).params().hit_latency;
+        hierarchy_.cacheAt(1, AccessType::InstFetch).params().hit_latency;
     const Cycles l1d_hit_latency =
-        hierarchy_.cache(l1d_id).params().hit_latency;
+        hierarchy_.cacheAt(1, AccessType::Load).params().hit_latency;
 
     // L1Peek self time = the L1 probes, the L1-hit accounting, and
     // loop control; HierWalk and Verdict open nested scopes.
@@ -155,11 +118,10 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
             // request() on an L1 hit, term for term: no verdict (the
             // walk would stop before its first planned level) and no
             // placement cost beyond noteL1Hit()'s lookup charge.
-            const bool is_instr = type == AccessType::InstFetch;
             ++result.requests;
-            result.total_access_cycles +=
-                is_instr ? l1i_hit_latency : l1d_hit_latency;
-            ++event_counts_[is_instr ? l1i_id : l1d_id].probe_hit;
+            result.total_access_cycles += type == AccessType::InstFetch
+                                              ? l1i_hit_latency
+                                              : l1d_hit_latency;
             continue;
         }
         ProfScope<with_prof> prof_walk(Phase::HierWalk);
@@ -173,7 +135,7 @@ MemorySimulator::run(WorkloadGenerator &workload,
 {
     MemSimResult result;
     result.instructions = instructions;
-    event_counts_.assign(hierarchy_.numCaches(), CacheEventCounts());
+    const std::vector<CacheStats> start = cacheCounters(hierarchy_);
 
     // Root phase: self time is whatever the nested scopes below do not
     // claim (reference-kernel stepping, loop overhead).
@@ -234,22 +196,14 @@ MemorySimulator::run(WorkloadGenerator &workload,
         cur_fetch_line_ = dedup.cur_line;
     }
 
-    // Fold the per-cache event counts into the energy breakdown, one
-    // multiply per counter instead of one add per event.
+    // Energy, coverage and decisions: the window's difference of the
+    // caches' own counters.
     PhaseScope prof_cold(Phase::Cold);
-    for (CacheId id = 0; id < hierarchy_.numCaches(); ++id) {
-        const PowerDelay &pd = cache_power_[id];
-        const CacheEventCounts &ec = event_counts_[id];
-        result.energy.probe_hit_pj +=
-            static_cast<double>(ec.probe_hit) * pd.read_energy_pj;
-        result.energy.probe_miss_pj +=
-            static_cast<double>(ec.probe_miss) * pd.read_energy_pj;
-        result.energy.fill_pj +=
-            static_cast<double>(ec.fill) * pd.write_energy_pj;
-        result.energy.writeback_pj +=
-            static_cast<double>(ec.wb_absorbed) * pd.write_energy_pj +
-            static_cast<double>(ec.wb_forwarded) * pd.read_energy_pj;
-    }
+    WindowCounts counts =
+        countWindow(hierarchy_, mnm_.get(), start, cache_power_);
+    result.energy = counts.energy;
+    result.coverage = counts.coverage;
+    result.decisions = counts.decisions;
 
     if (mnm_) {
         // Drain the MNM's internally-accumulated energy (lookups charged
@@ -260,8 +214,6 @@ MemorySimulator::run(WorkloadGenerator &workload,
         result.soundness_violations = mnm_->soundnessViolations();
         result.filter_anomalies = mnm_->filterAnomalies();
         result.mnm_storage_bits = mnm_->storageBits();
-        for (std::uint32_t l = 0; l < mnm_->violationLevels(); ++l)
-            result.decisions.setForbidden(l, mnm_->violationsAtLevel(l));
     }
 
     result.caches = snapshotCaches(hierarchy_);

@@ -8,7 +8,8 @@
  *    spent probing caches that missed (Figure 2's metric);
  *  - dynamic energy split into hit probes, miss probes, fills, and MNM
  *    structures (Figure 3's and Figure 16's metrics);
- *  - MNM coverage (Figures 10-14).
+ *  - MNM coverage (Figures 10-14), derived like the energy from the
+ *    caches' own counters (countWindow(), core/coverage.hh).
  *
  * No core timing is modelled here; use OooCore (cpu/) for execution
  * cycles (Figure 15). This mode is an order of magnitude faster, which
@@ -34,27 +35,6 @@
 
 namespace mnm
 {
-
-/** Dynamic-energy breakdown of a run, picojoules. */
-struct EnergyBreakdown
-{
-    PicoJoules probe_hit_pj = 0.0;  //!< probes that hit
-    PicoJoules probe_miss_pj = 0.0; //!< probes that missed (wasted)
-    PicoJoules fill_pj = 0.0;       //!< allocations on the fill path
-    PicoJoules writeback_pj = 0.0;  //!< dirty-victim drain traffic
-    PicoJoules mnm_pj = 0.0;        //!< MNM lookups + updates
-
-    PicoJoules cacheTotal() const
-    {
-        return probe_hit_pj + probe_miss_pj + fill_pj + writeback_pj;
-    }
-    PicoJoules total() const { return cacheTotal() + mnm_pj; }
-    double missFraction() const
-    {
-        double t = cacheTotal();
-        return t > 0.0 ? probe_miss_pj / t : 0.0;
-    }
-};
 
 /** Snapshot of one cache's counters after a run. */
 struct CacheSnapshot
@@ -187,23 +167,11 @@ class MemorySimulator
     MnmUnit *mnm() { return mnm_ ? mnm_.get() : nullptr; }
 
   private:
-    /** Per-cache hot event counts for one run() window; the per-event
-     *  energies are multiplied out once at the end of run(). */
-    struct CacheEventCounts
-    {
-        std::uint64_t probe_hit = 0;
-        std::uint64_t probe_miss = 0;
-        std::uint64_t fill = 0;
-        std::uint64_t wb_absorbed = 0;  //!< writeback dirtied a copy
-        std::uint64_t wb_forwarded = 0; //!< writeback probed and passed
-    };
-
-    /** Post-walk accounting shared by both loops: coverage,
-     *  decisions, latency/energy-event counts -- everything an access
-     *  adds to the result once its AccessResult exists. Pure sums over
-     *  the record, so invocation order across accesses cannot change
-     *  any total. Force-inlined: both call sites are on the per-access
-     *  hot path. */
+    /** Post-walk accounting shared by both loops: the per-access
+     *  latency sums and the placement's costs. What the access did to
+     *  each cache is counted by the caches themselves and derived once
+     *  per window (countWindow()). Force-inlined: both call sites are
+     *  on the per-access hot path. */
     __attribute__((always_inline)) void
     accountAccess(const AccessResult &access, MemSimResult &result);
 
@@ -254,7 +222,6 @@ class MemorySimulator
     MemPort port_;
     /** Per-cache probe/fill energies from the analytical model. */
     std::vector<PowerDelay> cache_power_;
-    std::vector<CacheEventCounts> event_counts_;
     bool reference_kernel_ = false;
     /** MNM_OVERLAP: let the RequestPipeline run a producer thread. */
     bool overlap_;

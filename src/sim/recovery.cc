@@ -106,29 +106,28 @@ hashFilterSpec(Fnv1a64 &h, const FilterSpec &spec)
 
 // -------------------------------------------- result (de)serializer
 
-void
-writeU64Array16(JsonWriter &json, std::string_view key,
-                const std::array<std::uint64_t, 16> &values)
-{
-    json.key(key);
-    json.beginArray();
-    for (std::uint64_t v : values)
-        json.value(v);
-    json.endArray();
-}
+/** A record's per-level coverage arrays hold levels 0..15 (their
+ *  original shape) and grow only to reach a deeper level's counts. */
+constexpr std::uint32_t min_level_entries = 16;
 
+/** Add @p object's identified_at/unidentified_at arrays to @p coverage;
+ *  false unless both hold the same 16 to max_levels integers. */
 bool
-readU64Array16(const JsonValue &object, const std::string &key,
-               std::array<std::uint64_t, 16> &out)
+readCoverageLevels(const JsonValue &object, CoverageTracker &coverage)
 {
-    const JsonValue *array = object.find(key);
-    if (!array || !array->isArray() || array->asArray().size() != 16)
+    const JsonValue *id = object.find("identified_at");
+    const JsonValue *un = object.find("unidentified_at");
+    if (!id || !un || !id->isArray() || !un->isArray())
         return false;
-    for (std::size_t i = 0; i < 16; ++i) {
-        const JsonValue &v = array->asArray()[i];
-        if (!v.isInteger())
+    const std::vector<JsonValue> &ids = id->asArray();
+    const std::vector<JsonValue> &uns = un->asArray();
+    if (ids.size() != uns.size() || ids.size() < min_level_entries ||
+        ids.size() > CoverageTracker::max_levels)
+        return false;
+    for (std::uint32_t l = 0; l < ids.size(); ++l) {
+        if (!ids[l].isInteger() || !uns[l].isInteger())
             return false;
-        out[i] = v.asU64();
+        coverage.add(l, ids[l].asU64(), uns[l].asU64());
     }
     return true;
 }
@@ -285,13 +284,22 @@ writeMemSimResult(const MemSimResult &result)
         json.beginObject();
         json.field("identified", result.coverage.identified());
         json.field("unidentified", result.coverage.unidentified());
-        std::array<std::uint64_t, 16> at{};
-        for (std::uint32_t l = 0; l < 16; ++l)
-            at[l] = result.coverage.identifiedAt(l);
-        writeU64Array16(json, "identified_at", at);
-        for (std::uint32_t l = 0; l < 16; ++l)
-            at[l] = result.coverage.unidentifiedAt(l);
-        writeU64Array16(json, "unidentified_at", at);
+        const CoverageTracker &cov = result.coverage;
+        std::uint32_t entries = min_level_entries;
+        for (std::uint32_t l = entries; l < cov.max_levels; ++l) {
+            if (cov.identifiedAt(l) || cov.unidentifiedAt(l))
+                entries = l + 1;
+        }
+        json.key("identified_at");
+        json.beginArray();
+        for (std::uint32_t l = 0; l < entries; ++l)
+            json.value(cov.identifiedAt(l));
+        json.endArray();
+        json.key("unidentified_at");
+        json.beginArray();
+        for (std::uint32_t l = 0; l < entries; ++l)
+            json.value(cov.unidentifiedAt(l));
+        json.endArray();
         json.endObject();
 
         json.key("decisions");
@@ -385,18 +393,18 @@ readMemSimResult(const JsonValue &value)
 
     const JsonValue *coverage = value.find("coverage");
     std::uint64_t identified = 0, unidentified = 0;
-    std::array<std::uint64_t, 16> identified_at{};
-    std::array<std::uint64_t, 16> unidentified_at{};
     if (!coverage || !coverage->isObject() ||
         !need(*coverage, "identified", identified) ||
         !need(*coverage, "unidentified", unidentified) ||
-        !readU64Array16(*coverage, "identified_at", identified_at) ||
-        !readU64Array16(*coverage, "unidentified_at", unidentified_at)) {
+        !readCoverageLevels(*coverage, result.coverage)) {
         return std::nullopt;
     }
-    static_assert(CoverageTracker::max_levels == 16);
-    result.coverage.restore(identified, unidentified, identified_at,
-                            unidentified_at);
+    // The totals are sums of the levels; a record whose totals disagree
+    // (a writer that dropped deep levels) is not replayed.
+    if (result.coverage.identified() != identified ||
+        result.coverage.unidentified() != unidentified) {
+        return std::nullopt;
+    }
 
     const JsonValue *decisions = value.find("decisions");
     if (!decisions || !decisions->isArray())
@@ -414,8 +422,7 @@ readMemSimResult(const JsonValue &value)
                   cells.predicted_miss_actual_hit)) {
             return std::nullopt;
         }
-        result.decisions.setCells(static_cast<std::uint32_t>(level),
-                                  cells);
+        result.decisions.add(static_cast<std::uint32_t>(level), cells);
     }
 
     const JsonValue *caches = value.find("caches");

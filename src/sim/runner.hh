@@ -83,7 +83,8 @@ struct SweepVariant
  *  - Functional: runFunctional() (warm-up unless !cell.warm).
  *  - OooCore / CycleCore: the core paperCpu(levels) on cell.hierarchy,
  *    behind cell.mnm. Fills cpu, instructions, caches,
- *    soundness_violations and mnm_storage_bits.
+ *    soundness_violations, mnm_storage_bits, and the measured window's
+ *    coverage and decisions.
  *  - Dtlb: the data-address stream through a 64-entry fully
  *    associative DTLB, behind the single filter of cell.mnm when set.
  *    Reports through requests (translations), total_access_cycles,

@@ -18,6 +18,7 @@
 #include "sim/config.hh"
 #include "sim/experiment.hh"
 #include "sim/memory_sim.hh"
+#include "sim/recovery.hh"
 #include "trace/spec2000.hh"
 
 namespace mnm
@@ -165,16 +166,17 @@ towerHierarchy(std::uint32_t levels)
 
 TEST(DeepHierarchyTest, DeepDirtyTowerRecordsEveryWritebackHop)
 {
-    // AccessResult::addWriteback used to clamp at 34 records and
-    // silently drop the rest, so a deep access's energy fold
-    // undercounted the drain traffic. Overflow is now a loud MNM_ASSERT
-    // (api_surface_test covers the abort) and the bound covers the real
-    // worst case (n(n-1)/2 hops); prove a single access can
+    // A per-access writeback record once clamped at 34 hops and
+    // silently dropped the rest, so a deep access's energy fold
+    // undercounted the drain traffic. Each cache now counts the hops it
+    // checks (writeback_probes) itself; prove a single access can
     // legitimately need more hops than the old cap and that every one
-    // is recorded. The tower's per-level geometries differ so contents
-    // diverge: lower levels absorb upper writebacks (accumulating
-    // dirty lines), then one miss's fill path evicts dirty victims at
-    // many levels at once, each draining its own hop chain.
+    // is counted, and that every chain ends exactly once -- absorbed by
+    // a lower level or drained to memory. The tower's per-level
+    // geometries differ so contents diverge: lower levels absorb upper
+    // writebacks (accumulating dirty lines), then one miss's fill path
+    // evicts dirty victims at many levels at once, each draining its
+    // own hop chain.
     constexpr std::uint32_t depth = 32; // BypassMask width: the max
     HierarchyParams params;
     params.memory_latency = 400;
@@ -197,11 +199,30 @@ TEST(DeepHierarchyTest, DeepDirtyTowerRecordsEveryWritebackHop)
     };
     for (int i = 0; i < 200000; ++i)
         h.access(AccessType::Store, next_addr());
-    std::uint32_t deepest = 0;
+    struct Totals
+    {
+        std::uint64_t hops = 0;
+        std::uint64_t absorbs = 0;
+        std::uint64_t dirty_evictions = 0;
+    };
+    auto totals = [&h] {
+        Totals t;
+        for (CacheId id = 0; id < h.numCaches(); ++id) {
+            const CacheStats &s = h.cache(id).stats();
+            t.hops += s.writeback_probes.value();
+            t.absorbs += s.writeback_absorbs.value();
+            t.dirty_evictions += s.writebacks.value();
+        }
+        return t;
+    };
+    std::uint64_t deepest = 0;
     for (int i = 0; i < 50000; ++i) {
+        const Totals before = totals();
         AccessResult r = h.access(AccessType::Store, next_addr());
-        ASSERT_LE(r.num_writebacks, AccessResult::max_writebacks);
-        deepest = std::max<std::uint32_t>(deepest, r.num_writebacks);
+        const Totals after = totals();
+        deepest = std::max(deepest, after.hops - before.hops);
+        ASSERT_EQ(after.dirty_evictions - before.dirty_evictions,
+                  after.absorbs - before.absorbs + r.memory_writebacks);
     }
     EXPECT_GT(deepest, 34u);
 }
@@ -262,6 +283,51 @@ TEST(DeepHierarchyTest, ViolationCountersReachPastOldSixteenLevelCap)
     for (std::uint32_t l = 0; l < unit.violationLevels(); ++l)
         sum += unit.violationsAtLevel(l);
     EXPECT_EQ(sum, unit.soundnessViolations());
+}
+
+TEST(DeepHierarchyTest, TwentyLevelCoverageAgreesWithItsBreakdown)
+{
+    // Per-level coverage and the decision matrix once stopped at level
+    // 15 while the totals counted every level, so on this tower the
+    // total read 351,046 identified misses and the breakdown 267,050.
+    // All three now derive from the same per-cache counters.
+    constexpr std::uint32_t depth = 20;
+    MemorySimulator sim(towerHierarchy(depth),
+                        makeUniformSpec(TmnmSpec{10, 2, 3}));
+    auto workload = makeSpecWorkload("164.gzip");
+    MemSimResult r = sim.run(*workload, 200000);
+
+    std::uint64_t identified = 0, unidentified = 0;
+    for (std::uint32_t l = 0; l <= depth; ++l) {
+        identified += r.coverage.identifiedAt(l);
+        unidentified += r.coverage.unidentifiedAt(l);
+    }
+    const DecisionMatrix::Cells totals = r.decisions.totals();
+    EXPECT_EQ(r.coverage.identified(), identified);
+    EXPECT_EQ(identified, totals.predicted_miss_actual_miss);
+    EXPECT_EQ(r.coverage.unidentified(), unidentified);
+    EXPECT_EQ(unidentified, totals.maybe_actual_miss);
+    EXPECT_GT(r.coverage.identifiedAt(depth), 0u);
+    EXPECT_EQ(r.decisions.at(depth).predicted_miss_actual_miss,
+              r.coverage.identifiedAt(depth));
+
+    // The journal record keeps the deep levels: its coverage arrays
+    // grow past their 16 entries, and the reader takes them back.
+    std::optional<MemSimResult> back =
+        readMemSimResult(writeMemSimResult(r));
+    ASSERT_TRUE(back);
+    for (std::uint32_t l = 0; l <= depth; ++l) {
+        EXPECT_EQ(back->coverage.identifiedAt(l),
+                  r.coverage.identifiedAt(l))
+            << "level " << l;
+        EXPECT_EQ(back->coverage.unidentifiedAt(l),
+                  r.coverage.unidentifiedAt(l))
+            << "level " << l;
+        EXPECT_EQ(back->decisions.at(l).maybe_actual_hit,
+                  r.decisions.at(l).maybe_actual_hit)
+            << "level " << l;
+    }
+    EXPECT_EQ(writeMemSimResult(*back), writeMemSimResult(r));
 }
 
 } // anonymous namespace

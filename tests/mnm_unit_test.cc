@@ -5,6 +5,9 @@
  * energy accounting, perfect-oracle mode, and name-based lookup.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
@@ -317,16 +320,38 @@ TEST(PresetsTest, HmnmStorageGrowsWithIndex)
 
 // ------------------------------------------------------------- coverage
 
+/** Three unified direct-mapped levels of 4 blocks, then a roomy L4:
+ *  two blocks 128 bytes apart conflict in L1-L3 but not in L4. */
+HierarchyParams
+coverageTower()
+{
+    HierarchyParams params;
+    for (std::uint32_t l = 1; l <= 4; ++l) {
+        LevelParams lvl;
+        lvl.data.name = "u" + std::to_string(l);
+        lvl.data.capacity_bytes = l == 4 ? 4096 : 128;
+        lvl.data.associativity = l == 4 ? 4 : 1;
+        lvl.data.block_bytes = 32;
+        lvl.data.hit_latency = l;
+        params.levels.push_back(lvl);
+    }
+    return params;
+}
+
 TEST(CoverageTest, CountsIdentifiedAndMissed)
 {
-    CoverageTracker tracker;
-    AccessResult r;
-    r.supply_level = 4; // supplied by L4: levels 2,3 were bypassable
-    r.addProbe({0, 1, false, false}); // L1 miss: not counted
-    r.addProbe({2, 2, true, false});  // L2 bypassed: identified
-    r.addProbe({3, 3, false, false}); // L3 probed+missed: missed opp.
-    r.addProbe({4, 4, false, true});  // L4 hit: not a miss
-    tracker.record(r);
+    CacheHierarchy h(coverageTower());
+    MnmUnit mnm(makeRmnmSpec(128, 1), h);
+    h.access(AccessType::Load, 0x0);
+    h.access(AccessType::Load, 0x80); // evicts 0x0 from L1-L3 only
+    const std::vector<CacheStats> start = cacheCounters(h);
+    BypassMask mask;
+    mask.set(h.path(AccessType::Load)[1]); // L2
+    // Supplied by L4: L1 misses (not counted), L2 is bypassed
+    // (identified), L3 is probed and misses (a missed opportunity).
+    AccessResult r = h.access(AccessType::Load, 0x0, mask);
+    ASSERT_EQ(r.supply_level, 4u);
+    CoverageTracker tracker = countWindow(h, &mnm, start).coverage;
     EXPECT_EQ(tracker.identified(), 1u);
     EXPECT_EQ(tracker.unidentified(), 1u);
     EXPECT_DOUBLE_EQ(tracker.coverage(), 0.5);
@@ -338,11 +363,12 @@ TEST(CoverageTest, CountsIdentifiedAndMissed)
 
 TEST(CoverageTest, L1HitContributesNothing)
 {
-    CoverageTracker tracker;
-    AccessResult r;
-    r.supply_level = 1;
-    r.addProbe({0, 1, false, true});
-    tracker.record(r);
+    CacheHierarchy h(coverageTower());
+    MnmUnit mnm(makeRmnmSpec(128, 1), h);
+    h.access(AccessType::Load, 0x0);
+    const std::vector<CacheStats> start = cacheCounters(h);
+    EXPECT_EQ(h.access(AccessType::Load, 0x0).supply_level, 1u);
+    CoverageTracker tracker = countWindow(h, &mnm, start).coverage;
     EXPECT_EQ(tracker.opportunities(), 0u);
     EXPECT_EQ(tracker.coverage(), 0.0);
 }
@@ -350,10 +376,8 @@ TEST(CoverageTest, L1HitContributesNothing)
 TEST(CoverageTest, ResetClears)
 {
     CoverageTracker tracker;
-    AccessResult r;
-    r.supply_level = 3;
-    r.addProbe({2, 2, true, false});
-    tracker.record(r);
+    tracker.add(2, 1, 0);
+    EXPECT_EQ(tracker.opportunities(), 1u);
     tracker.reset();
     EXPECT_EQ(tracker.opportunities(), 0u);
 }

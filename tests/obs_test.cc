@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
+#include "core/coverage.hh"
 #include "core/mnm_unit.hh"
 #include "core/presets.hh"
 #include "obs/confusion.hh"
@@ -223,11 +224,10 @@ TEST(DecisionMatrixTest, Table1ScenarioCountsPerLevel)
     CacheHierarchy hierarchy(table1Params());
     MnmUnit mnm(makeRmnmSpec(128, 1), hierarchy);
 
-    DecisionMatrix decisions;
+    const std::vector<CacheStats> start = cacheCounters(hierarchy);
     auto access = [&](Addr addr) {
         BypassMask mask = mnm.computeBypass(AccessType::Load, addr);
-        decisions.recordAccess(
-            hierarchy.access(AccessType::Load, addr, mask));
+        hierarchy.access(AccessType::Load, addr, mask);
     };
 
     // The paper's sequence: four conflicting blocks march through the
@@ -238,6 +238,8 @@ TEST(DecisionMatrixTest, Table1ScenarioCountsPerLevel)
     access(0x2400);
     access(0x2f00);
 
+    const DecisionMatrix decisions =
+        countWindow(hierarchy, &mnm, start).decisions;
     const DecisionMatrix::Cells &l2 = decisions.at(2);
     EXPECT_EQ(l2.predicted_miss_actual_miss, 1u); // the 0x2f00 re-access
     EXPECT_EQ(l2.maybe_actual_miss, 4u);          // the cold misses
@@ -259,13 +261,14 @@ TEST(DecisionMatrixTest, MergeAndResetAreCellWise)
 {
     CacheHierarchy hierarchy(table1Params());
     MnmUnit mnm(makeRmnmSpec(128, 1), hierarchy);
-    DecisionMatrix a;
+    const std::vector<CacheStats> start = cacheCounters(hierarchy);
     auto access = [&](Addr addr) {
         BypassMask mask = mnm.computeBypass(AccessType::Load, addr);
-        a.recordAccess(hierarchy.access(AccessType::Load, addr, mask));
+        hierarchy.access(AccessType::Load, addr, mask);
     };
     access(0x2f00);
     access(0x2c00);
+    const DecisionMatrix a = countWindow(hierarchy, &mnm, start).decisions;
 
     DecisionMatrix b;
     b.merge(a);
@@ -286,10 +289,11 @@ TEST(DecisionMatrixTest, RegisterIntoEmitsNonEmptyLevelsOnly)
 
     CacheHierarchy hierarchy(table1Params());
     MnmUnit mnm(makeRmnmSpec(128, 1), hierarchy);
+    const std::vector<CacheStats> start = cacheCounters(hierarchy);
     BypassMask mask = mnm.computeBypass(AccessType::Load, 0x2f00);
-    decisions.recordAccess(
-        hierarchy.access(AccessType::Load, 0x2f00, mask));
-    decisions.registerInto(reg, "x.confusion");
+    hierarchy.access(AccessType::Load, 0x2f00, mask);
+    countWindow(hierarchy, &mnm, start)
+        .decisions.registerInto(reg, "x.confusion");
     EXPECT_TRUE(reg.has("x.confusion.l2.maybe_actual_miss"));
     EXPECT_EQ(reg.counter("x.confusion.l2.maybe_actual_miss").value(),
               1u);

@@ -98,15 +98,8 @@ TEST(CoverageMergeTest, CountsAdd)
 {
     CoverageTracker a;
     CoverageTracker b;
-    AccessResult r;
-    r.supply_level = 3;
-    r.addProbe({1, 2, true, false});
-    a.record(r);
-    b.record(r);
-    AccessResult r2;
-    r2.supply_level = 3;
-    r2.addProbe({1, 2, false, false});
-    b.record(r2);
+    a.add(2, 1, 0);
+    b.add(2, 1, 1);
     a.merge(b);
     EXPECT_EQ(a.identified(), 2u);
     EXPECT_EQ(a.unidentified(), 1u);
