@@ -238,6 +238,7 @@ MnmUnit::cacheVerdict(CacheId id, Addr addr) const
 BypassMask
 MnmUnit::computeBypass(AccessType type, Addr addr)
 {
+    ++verdicts_;
     if (reference_dispatch_)
         return computeBypassReference(type, addr);
     ++lookups_;
@@ -421,6 +422,15 @@ MnmUnit::onEventBatch(const CacheEvent *events, std::size_t n)
             }
         }
     }
+}
+
+std::uint64_t
+MnmUnit::feedEvents() const
+{
+    std::uint64_t total = 0;
+    for (const PerCache &pc : per_cache_)
+        total += pc.update_events;
+    return total;
 }
 
 PicoJoules

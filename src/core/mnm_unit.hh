@@ -225,8 +225,17 @@ class MnmUnit : public CacheEventListener
     }
     bool referenceFeed() const { return reference_feed_; }
 
-    /** Number of verdict computations performed. */
+    /** Accesses the MNM saw: computed verdicts plus noteL1Hit()s. */
     std::uint64_t lookups() const { return lookups_; }
+
+    /** Calls of computeBypass(): verdicts actually computed (none on
+     *  the L1-first path's level-1 hits). A work counter. */
+    std::uint64_t verdicts() const { return verdicts_; }
+
+    /** Filter-update events the feed applied: placements plus
+     *  replacements over every cache (Σ PerCache::update_events; 0
+     *  for the perfect oracle, which keeps no filter state). */
+    std::uint64_t feedEvents() const;
 
     /** Sum of per-filter bookkeeping anomalies (should stay 0). */
     std::uint64_t filterAnomalies() const;
@@ -339,6 +348,7 @@ class MnmUnit : public CacheEventListener
     std::uint64_t rmnm_lookup_events_ = 0;
 
     std::uint64_t lookups_ = 0;
+    std::uint64_t verdicts_ = 0;
     std::uint64_t violations_ = 0;
     /** Sized from the attached hierarchy (levels + 1, 1-based). */
     std::vector<std::uint64_t> violations_at_;

@@ -103,10 +103,6 @@ ExperimentOptions::fromEnv()
         opts.poison_limit = static_cast<unsigned>(
             parseEnvU64("MNM_POISON_LIMIT", env, 1, 1000));
     }
-    if (const char *env = std::getenv("MNM_WORKER_BACKOFF_MS")) {
-        opts.worker_backoff_ms = static_cast<unsigned>(
-            parseEnvU64("MNM_WORKER_BACKOFF_MS", env, 0, 60000));
-    }
     if (const char *env = std::getenv("MNM_RETRIES")) {
         opts.retries = static_cast<unsigned>(
             parseEnvU64("MNM_RETRIES", env, 0, 100));
@@ -197,6 +193,8 @@ runCore(const SweepCell &cell)
     if (mnm) {
         result.soundness_violations = mnm->soundnessViolations();
         result.mnm_storage_bits = mnm->storageBits();
+        result.verdicts = mnm->verdicts();
+        result.feed_events = mnm->feedEvents();
     }
     return result;
 }

@@ -19,9 +19,6 @@
  *                     before it is declared poison and rendered
  *                     <failed> instead of crash-looping the pool
  *                     (default 3)
- *   MNM_WORKER_BACKOFF_MS  base delay before respawning a dead worker
- *                     process; doubles per consecutive death
- *                     (default 100)
  *   MNM_PROGRESS      set to 1 to report per-cell completion (with an
  *                     ETA projection) on stderr
  *   MNM_STATS_JSON    path; write the machine-readable run manifest
@@ -87,8 +84,8 @@ struct ExperimentOptions
     /** Consecutive worker deaths one cell may cause before it is
      *  declared poison (MNM_POISON_LIMIT). */
     unsigned poison_limit = 3;
-    /** Base worker-respawn backoff in ms (MNM_WORKER_BACKOFF_MS);
-     *  doubles per consecutive death. */
+    /** Base worker-respawn backoff in ms; doubles per consecutive
+     *  death. Not an env knob: tests shorten it directly. */
     unsigned worker_backoff_ms = 100;
     /** Report per-cell sweep completion via progress(). */
     bool progress = false;

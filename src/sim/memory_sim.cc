@@ -214,6 +214,8 @@ MemorySimulator::run(WorkloadGenerator &workload,
         result.soundness_violations = mnm_->soundnessViolations();
         result.filter_anomalies = mnm_->filterAnomalies();
         result.mnm_storage_bits = mnm_->storageBits();
+        result.verdicts = mnm_->verdicts();
+        result.feed_events = mnm_->feedEvents();
     }
 
     result.caches = snapshotCaches(hierarchy_);

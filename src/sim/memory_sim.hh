@@ -54,7 +54,13 @@ std::vector<CacheSnapshot> snapshotCaches(const CacheHierarchy &hierarchy);
 
 /** Everything a sweep cell produces: a functional run fills every
  *  field but cpu; a timing-core or DTLB cell fills the subset
- *  runCell() (sim/runner.hh) documents. */
+ *  runCell() (sim/runner.hh) documents.
+ *
+ *  Two spans: energy, coverage, decisions and the access sums cover
+ *  the measured window (one run() call), while caches and the work
+ *  counters (verdicts, feed_events) are cumulative over the whole
+ *  cell, warm-up included. A reader that ties caches[].bypasses to
+ *  coverage.identified must therefore subtract the warm-up. */
 struct MemSimResult
 {
     std::uint64_t instructions = 0;
@@ -76,6 +82,10 @@ struct MemSimResult
     std::uint64_t filter_anomalies = 0;
     std::uint64_t mnm_storage_bits = 0;
     std::vector<CacheSnapshot> caches;
+    /** Work counters, cumulative like caches: MnmUnit::verdicts() and
+     *  MnmUnit::feedEvents(). Zero without an MNM and in DTLB cells. */
+    std::uint64_t verdicts = 0;
+    std::uint64_t feed_events = 0;
     /** Timing-core statistics of the measured window; all zero for
      *  functional and DTLB cells. */
     CpuRunStats cpu;

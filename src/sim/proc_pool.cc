@@ -258,7 +258,8 @@ workerChildLoop(const std::vector<SweepCell> &cells,
                 response +=
                     ",\"prof\":" + writePhaseProfile(takeThreadProfile());
             }
-            response += ",\"result\":" + writeMemSimResult(result) + "}";
+            response += ",\"result\":" +
+                        writeMemSimResult(result, /*with_work=*/true) + "}";
         } catch (const std::exception &e) {
             response = "{\"index\":" + std::to_string(index) +
                        ",\"error\":" + JsonWriter::quoted(e.what()) + "}";

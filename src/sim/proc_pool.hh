@@ -45,7 +45,8 @@
  *   - a worker-reported error (the cell threw) is retried MNM_RETRIES
  *     times, then fails with cause "retry_exhausted".
  *   - dead workers are respawned with exponential backoff
- *     (MNM_WORKER_BACKOFF_MS base, doubling per consecutive death).
+ *     (ExperimentOptions::worker_backoff_ms base, 100 ms, doubling per
+ *     consecutive death).
  *
  * Journal integration: with MNM_CHECKPOINT active the supervisor
  * appends a "lease" record when it issues a cell and the "result"

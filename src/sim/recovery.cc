@@ -257,7 +257,7 @@ cellFingerprint(const SweepCell &cell)
 }
 
 std::string
-writeMemSimResult(const MemSimResult &result)
+writeMemSimResult(const MemSimResult &result, bool with_work)
 {
     std::ostringstream out;
     {
@@ -339,6 +339,14 @@ writeMemSimResult(const MemSimResult &result)
             json.endObject();
         }
         json.endArray();
+
+        if (with_work) {
+            json.key("work");
+            json.beginObject();
+            json.field("verdicts", result.verdicts);
+            json.field("feed_events", result.feed_events);
+            json.endObject();
+        }
 
         // Timing cells only: functional records stay byte-identical.
         if (result.cpu != CpuRunStats{}) {
@@ -446,6 +454,13 @@ readMemSimResult(const JsonValue &value)
         result.caches.push_back(std::move(snap));
     }
 
+    const JsonValue *work = value.find("work");
+    if (!work || !work->isObject() ||
+        !need(*work, "verdicts", result.verdicts) ||
+        !need(*work, "feed_events", result.feed_events)) {
+        return std::nullopt;
+    }
+
     if (const JsonValue *cpu = value.find("cpu")) {
         CpuRunStats &c = result.cpu;
         if (!cpu->isObject() || !need(*cpu, "instructions", c.instructions) ||
@@ -525,6 +540,8 @@ CheckpointJournal::load(const std::string &path)
         std::optional<std::string> fp = rec->getString("fp");
         if (type == std::optional<std::string>("result")) {
             const JsonValue *payload = rec->find("result");
+            // Records written before the work counters existed are
+            // not replayed: their cells re-run.
             std::optional<MemSimResult> result =
                 payload ? readMemSimResult(*payload) : std::nullopt;
             if (!fp || !result) {
@@ -591,7 +608,8 @@ CheckpointJournal::append(const std::string &fingerprint,
 {
     appendRecord("{\"type\":\"result\",\"fp\":" +
                  JsonWriter::quoted(fingerprint) +
-                 ",\"result\":" + writeMemSimResult(result) + "}");
+                 ",\"result\":" +
+                 writeMemSimResult(result, /*with_work=*/true) + "}");
 }
 
 void

@@ -73,11 +73,22 @@ std::string cellFingerprint(const SweepCell &cell);
 /** Serialize @p result as one compact (single-line) JSON object. All
  *  counters are written exactly; doubles use the shortest round-trip
  *  form, so deserializing reproduces bit-identical values. The "cpu"
- *  block is written only when some CpuRunStats field is non-zero. */
-std::string writeMemSimResult(const MemSimResult &result);
+ *  block is written only when some CpuRunStats field is non-zero.
+ *
+ *  The "work" block (verdicts, feed_events) is written only with
+ *  @p with_work, as the worker pipe and the checkpoint journal do: the
+ *  suite's work gate sums it. Without it the text holds the cell's
+ *  outputs alone, which every schedule must reproduce byte for byte,
+ *  while the work legitimately depends on the route (the verdict-first
+ *  reference loop computes a verdict per request, the production loop
+ *  one per level-1 miss of a guard-free plan). */
+std::string writeMemSimResult(const MemSimResult &result,
+                              bool with_work = false);
 
-/** Inverse of writeMemSimResult(). nullopt when @p text is not a
- *  complete well-formed result object (torn journal line). */
+/** Inverse of writeMemSimResult(@p result, true). nullopt when @p text
+ *  is not a complete well-formed result object (torn journal line) or
+ *  carries no "work" block (a journal record written before the work
+ *  counters: its cell re-runs instead of replaying). */
 std::optional<MemSimResult> readMemSimResult(std::string_view text);
 
 /** Same, from an already parsed JSON value. */

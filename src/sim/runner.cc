@@ -208,21 +208,6 @@ foldSweepTelemetry(const std::vector<SweepCell> &cells,
         cell_queue.add(
             static_cast<double>(t.start_us - sweep_start_us) / 1000.0);
 
-        // Per-cell kernel throughput. Lives under "runner." (not the
-        // cell's "sweep." prefix) because it is wall-clock derived:
-        // the manifest diff in CI ignores the runner subtree.
-        if (!r.failed && t.dur_us > 0) {
-            std::string label =
-                cell.label.empty() ? "default" : cell.label;
-            stats.setGauge(
-                "runner." + sanitizeMetricSegment(label) + "." +
-                    sanitizeMetricSegment(
-                        ExperimentOptions::shortName(cell.app)) +
-                    ".instr_per_sec",
-                static_cast<double>(r.instructions) * 1e6 /
-                    static_cast<double>(t.dur_us));
-        }
-
         // Per-cell phase attribution. Lives under "prof.cell." (not the
         // cell's "sweep." prefix) because it is wall-clock derived: the
         // manifest diff in CI ignores the prof subtree.
@@ -309,6 +294,27 @@ foldCellMetrics(StatsRegistry &stats, const SweepCell &cell,
                          r.soundness_violations);
     }
     r.decisions.registerInto(stats, prefix + ".confusion");
+
+    // The cell's work, warm-up included (tools/run_suite.py gates the
+    // per-bench sums exactly against bench/BENCH_suite.json).
+    std::uint64_t l1_probes = 0, probes = 0, bypasses = 0;
+    for (const CacheSnapshot &c : r.caches) {
+        if (c.level < 2) {
+            l1_probes += c.accesses;
+        } else {
+            probes += c.accesses;
+            bypasses += c.bypasses;
+        }
+    }
+    const std::string work = prefix + ".work";
+    stats.addCounter(work + ".instructions",
+                     r.instructions + (cell.warm ? cell.instructions / 10
+                                                 : 0));
+    stats.addCounter(work + ".l1_probes", l1_probes);
+    stats.addCounter(work + ".probes", probes);
+    stats.addCounter(work + ".bypasses", bypasses);
+    stats.addCounter(work + ".verdicts", r.verdicts);
+    stats.addCounter(work + ".feed_events", r.feed_events);
 }
 
 void

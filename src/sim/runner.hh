@@ -83,13 +83,14 @@ struct SweepVariant
  *  - Functional: runFunctional() (warm-up unless !cell.warm).
  *  - OooCore / CycleCore: the core paperCpu(levels) on cell.hierarchy,
  *    behind cell.mnm. Fills cpu, instructions, caches,
- *    soundness_violations, mnm_storage_bits, and the measured window's
- *    coverage and decisions.
+ *    soundness_violations, mnm_storage_bits, verdicts, feed_events,
+ *    and the measured window's coverage and decisions.
  *  - Dtlb: the data-address stream through a 64-entry fully
  *    associative DTLB, behind the single filter of cell.mnm when set.
  *    Reports through requests (translations), total_access_cycles,
  *    caches[0] (the DTLB), coverage (level 1), energy.mnm_pj (filter
- *    energy) and soundness_violations.
+ *    energy) and soundness_violations. caches[0] covers the measured
+ *    window only; verdicts and feed_events stay 0.
  */
 MemSimResult runCell(const SweepCell &cell);
 
@@ -232,7 +233,10 @@ std::vector<MemSimResult> runSweep(const std::vector<SweepCell> &cells,
 /**
  * Fold one cell's simulation metrics into @p stats under
  * "sweep.<label>.<app>.*" -- the per-cell step of runSweep()'s
- * telemetry. A failed cell adds nothing.
+ * telemetry. A failed cell adds nothing. Its "work.*" counters cover
+ * the whole cell, warm-up included: instructions, l1_probes (level-1
+ * accesses), probes and bypasses (level >= 2 accesses and bypasses),
+ * verdicts and feed_events.
  */
 void foldCellMetrics(StatsRegistry &stats, const SweepCell &cell,
                      const MemSimResult &r);

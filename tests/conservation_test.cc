@@ -15,6 +15,11 @@
  * does not carry them. Both windows of a warm run are checked, so a
  * window that leaks warm-up counts shows.
  *
+ * The work counters are recounted on the same twin: verdicts from its
+ * requests and level-1 misses (the production loop computes a verdict
+ * only on an L1 miss unless the plan is guarded), filter-update events
+ * from the placements and replacements its hierarchy reported.
+ *
  * The timing cores' access streams are their own (mispredict refetches,
  * out-of-order issue), so their coverage() is checked against the
  * hierarchy's per-cache counters instead.
@@ -133,6 +138,39 @@ struct OracleWindow
     }
 };
 
+/** Counts the placements and replacements a hierarchy reports and
+ *  hands each to the MNM unchanged. */
+class CountingFeed : public CacheEventListener
+{
+  public:
+    explicit CountingFeed(MnmUnit &mnm) : mnm_(mnm) {}
+
+    void
+    onPlacement(CacheId id, BlockAddr block) override
+    {
+        ++events;
+        mnm_.onPlacement(id, block);
+    }
+    void
+    onReplacement(CacheId id, BlockAddr block) override
+    {
+        ++events;
+        mnm_.onReplacement(id, block);
+    }
+    void onFlush(CacheId id) override { mnm_.onFlush(id); }
+    void
+    onEventBatch(const CacheEvent *batch, std::size_t n) override
+    {
+        events += n;
+        mnm_.onEventBatch(batch, n);
+    }
+
+    std::uint64_t events = 0;
+
+  private:
+    MnmUnit &mnm_;
+};
+
 /** The twin machine that recounts every access. */
 class ProbeFoldOracle
 {
@@ -142,12 +180,38 @@ class ProbeFoldOracle
         : hierarchy_(machine),
           mnm_(spec ? std::make_unique<MnmUnit>(*spec, hierarchy_)
                     : nullptr),
+          feed_(mnm_ ? std::make_unique<CountingFeed>(*mnm_) : nullptr),
           workload_(makeSpecWorkload(workload_name))
     {
+        if (feed_)
+            hierarchy_.setListener(feed_.get());
     }
 
     MnmUnit *mnm() { return mnm_.get(); }
     CacheHierarchy &hierarchy() { return hierarchy_; }
+
+    /** Placements plus replacements reported so far, both windows. */
+    std::uint64_t feedEvents() const { return feed_ ? feed_->events : 0; }
+
+    /** Verdicts the production loop computes for the requests so far:
+     *  every request of a guarded path, only the level-1 misses of a
+     *  guard-free one. */
+    std::uint64_t
+    expectedVerdicts() const
+    {
+        if (!mnm_)
+            return 0;
+        std::uint64_t verdicts = 0;
+        for (AccessType type : {AccessType::InstFetch, AccessType::Load}) {
+            const bool instr = type == AccessType::InstFetch;
+            verdicts += mnm_->planGuarded(type)
+                            ? (instr ? fetch_requests_ : data_requests_)
+                            : hierarchy_.cacheAt(1, type)
+                                  .stats()
+                                  .misses.value();
+        }
+        return verdicts;
+    }
 
     /** Step @p instructions instructions, one request at a time. */
     OracleWindow
@@ -188,6 +252,8 @@ class ProbeFoldOracle
         if (mnm_)
             mask = mnm_->computeBypass(type, addr);
         const AccessResult r = hierarchy_.access(type, addr, mask);
+        ++(type == AccessType::InstFetch ? fetch_requests_
+                                         : data_requests_);
 
         ++w.requests;
         if (r.from_memory)
@@ -228,9 +294,24 @@ class ProbeFoldOracle
 
     CacheHierarchy hierarchy_;
     std::unique_ptr<MnmUnit> mnm_;
+    std::unique_ptr<CountingFeed> feed_;
     std::unique_ptr<WorkloadGenerator> workload_;
     Addr cur_fetch_line_ = invalid_addr;
+    std::uint64_t fetch_requests_ = 0;
+    std::uint64_t data_requests_ = 0;
 };
+
+/** The work counters cover the whole run so far, warm-up included. */
+void
+expectWorkConserved(const MemSimResult &r, const ProbeFoldOracle &oracle,
+                    const std::optional<MnmSpec> &spec)
+{
+    EXPECT_EQ(r.verdicts, oracle.expectedVerdicts());
+    // The perfect oracle keeps no filter state, so it applies no
+    // update; every other MNM applies each reported event once.
+    EXPECT_EQ(r.feed_events,
+              spec && !spec->perfect ? oracle.feedEvents() : 0u);
+}
 
 /** Every production sum over probes equals the oracle's recount. */
 void
@@ -344,6 +425,7 @@ checkWarmRun(const HierarchyParams &machine,
         MemSimResult r = sim.run(*workload, warm_instructions);
         OracleWindow w = oracle.run(warm_instructions);
         expectConserved(r, w, power, with_mnm, levels);
+        expectWorkConserved(r, oracle, spec);
         if (non_inclusive)
             expectWritebackChainsConserved(oracle.hierarchy(), before, w);
     }
@@ -355,6 +437,7 @@ checkWarmRun(const HierarchyParams &machine,
     MemSimResult r = sim.run(*workload, measured_instructions);
     OracleWindow w = oracle.run(measured_instructions);
     expectConserved(r, w, power, with_mnm, levels);
+    expectWorkConserved(r, oracle, spec);
     if (non_inclusive)
         expectWritebackChainsConserved(oracle.hierarchy(), before, w);
     return refillsOf(oracle.hierarchy(), before, w);
@@ -470,6 +553,31 @@ TEST(ConservationFaultTest, UnguardedFaultedRunWithRefillsConserves)
             corrupt(twin);
         });
     EXPECT_GT(refills, 0u) << "the faulted run produced no refills";
+}
+
+TEST(ConservationWorkTest, VerdictFirstReferenceComputesEveryVerdict)
+{
+    // The reference loop (MNM_REFERENCE=1) computes the verdict before
+    // probing level 1, so every request costs one, guard-free plan or
+    // not; its cache trajectory, and so its feed, is the production
+    // loop's.
+    const MnmSpec spec = mnmSpecByName("HMNM4");
+    MemorySimulator reference(paperHierarchy(5), spec);
+    reference.setReferenceKernel(true);
+    reference.setReferenceFeed(true);
+    MemorySimulator production(paperHierarchy(5), spec);
+    auto ref_workload = makeSpecWorkload(workload_name);
+    auto prod_workload = makeSpecWorkload(workload_name);
+    std::uint64_t requests = 0;
+    for (std::uint64_t window : {warm_instructions, measured_instructions}) {
+        const MemSimResult r = reference.run(*ref_workload, window);
+        const MemSimResult p = production.run(*prod_workload, window);
+        requests += r.requests;
+        EXPECT_EQ(r.verdicts, requests);
+        EXPECT_LT(p.verdicts, r.verdicts);
+        EXPECT_EQ(r.feed_events, p.feed_events);
+        EXPECT_GT(r.feed_events, 0u);
+    }
 }
 
 /** A timing core's coverage() against the caches' counters, after the

@@ -314,7 +314,7 @@ TEST(DeepHierarchyTest, TwentyLevelCoverageAgreesWithItsBreakdown)
     // The journal record keeps the deep levels: its coverage arrays
     // grow past their 16 entries, and the reader takes them back.
     std::optional<MemSimResult> back =
-        readMemSimResult(writeMemSimResult(r));
+        readMemSimResult(writeMemSimResult(r, /*with_work=*/true));
     ASSERT_TRUE(back);
     for (std::uint32_t l = 0; l <= depth; ++l) {
         EXPECT_EQ(back->coverage.identifiedAt(l),

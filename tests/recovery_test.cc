@@ -11,6 +11,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -24,6 +25,7 @@
 #include "sim/config.hh"
 #include "sim/recovery.hh"
 #include "sim/runner.hh"
+#include "util/bits.hh"
 
 namespace mnm
 {
@@ -172,18 +174,29 @@ TEST(RecoveryTest, ResultRoundTripsByteIdentical)
     std::vector<MemSimResult> results = runSweep(cells, opts);
     for (std::size_t i = 0; i < results.size(); ++i) {
         SCOPED_TRACE(cells[i].app + " · " + cells[i].label);
-        std::string text = writeMemSimResult(results[i]);
+        std::string text = writeMemSimResult(results[i], true);
         std::optional<MemSimResult> back = readMemSimResult(text);
         ASSERT_TRUE(back.has_value());
         // Serializing the parsed result reproduces the exact bytes:
         // every counter and every double survived the round trip.
-        EXPECT_EQ(writeMemSimResult(*back), text);
+        EXPECT_EQ(writeMemSimResult(*back, true), text);
+        // Without the work block the text is the outputs alone.
+        EXPECT_EQ(writeMemSimResult(*back), writeMemSimResult(results[i]));
+        EXPECT_EQ(writeMemSimResult(results[i]).find("\"work\""),
+                  std::string::npos);
         EXPECT_EQ(back->instructions, results[i].instructions);
         EXPECT_EQ(back->soundness_violations,
                   results[i].soundness_violations);
         EXPECT_EQ(back->coverage.identified(),
                   results[i].coverage.identified());
         ASSERT_EQ(back->caches.size(), results[i].caches.size());
+        EXPECT_EQ(back->verdicts, results[i].verdicts);
+        EXPECT_EQ(back->feed_events, results[i].feed_events);
+        // Every MNM cell but the DTLB's did work the record must carry.
+        const bool counts_work =
+            cells[i].mnm && cells[i].model != CellModel::Dtlb;
+        EXPECT_EQ(results[i].verdicts != 0, counts_work);
+        EXPECT_EQ(results[i].feed_events != 0, counts_work);
         EXPECT_EQ(back->cpu, results[i].cpu);
         // Only timing cells write a "cpu" block; functional and DTLB
         // records keep their pre-timing-cell bytes.
@@ -194,6 +207,52 @@ TEST(RecoveryTest, ResultRoundTripsByteIdentical)
     }
 }
 
+TEST(RecoveryTest, RecordWithoutWorkIsNotReplayed)
+{
+    ExperimentOptions opts;
+    opts.jobs = 1;
+    std::vector<SweepCell> grid = smallGrid();
+    std::vector<SweepCell> cells(grid.begin(), grid.begin() + 1);
+    const MemSimResult result = runSweep(cells, opts).front();
+    // A record written before the work counters: the same bytes
+    // without the "work" block. The reader requires the block, so its
+    // cell re-runs instead of replaying.
+    const std::string older = writeMemSimResult(result);
+    EXPECT_TRUE(readMemSimResult(writeMemSimResult(result, true))
+                    .has_value());
+    EXPECT_FALSE(readMemSimResult(older).has_value());
+
+    const std::string path = tempJournalPath("no_work");
+    std::remove(path.c_str());
+    {
+        CheckpointJournal journal(path);
+        journal.append("cell-a", result);
+    }
+    std::string text;
+    {
+        std::ifstream in(path);
+        text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_EQ(CheckpointJournal::load(path).entries.size(), 1u);
+    // Rewrite the record as an older writer did: without the work block,
+    // under a fresh CRC envelope.
+    const std::size_t at = text.find("{\"crc\":");
+    ASSERT_NE(at, std::string::npos);
+    const std::string rec = "{\"type\":\"result\",\"fp\":\"cell-a\","
+                            "\"result\":" + older + "}";
+    char crc[9];
+    std::snprintf(crc, sizeof crc, "%08x", static_cast<unsigned>(crc32(rec)));
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << text.substr(0, at) << "{\"crc\":\"" << crc
+            << "\",\"rec\":" << rec << "}\n";
+    }
+    CheckpointJournal::Replay replay = CheckpointJournal::load(path);
+    EXPECT_TRUE(replay.entries.empty());
+    EXPECT_EQ(replay.skipped, 1u);
+    std::remove(path.c_str());
+}
+
 TEST(RecoveryTest, ReadRejectsTornText)
 {
     ExperimentOptions opts;
@@ -201,7 +260,7 @@ TEST(RecoveryTest, ReadRejectsTornText)
     std::vector<SweepCell> grid = smallGrid();
     std::vector<SweepCell> cells(grid.begin(), grid.begin() + 1);
     std::string text =
-        writeMemSimResult(runSweep(cells, opts).front());
+        writeMemSimResult(runSweep(cells, opts).front(), true);
     EXPECT_TRUE(readMemSimResult(text).has_value());
     // Any truncation makes the line unreadable, never misread.
     for (std::size_t len : {text.size() - 1, text.size() / 2,
@@ -229,10 +288,10 @@ TEST(JournalTest, AppendAndLoadRoundTrip)
     CheckpointJournal::Replay replay = CheckpointJournal::load(path);
     EXPECT_EQ(replay.skipped, 0u);
     ASSERT_EQ(replay.entries.size(), 2u);
-    EXPECT_EQ(writeMemSimResult(replay.entries.at("cell-a")),
-              writeMemSimResult(results[0]));
-    EXPECT_EQ(writeMemSimResult(replay.entries.at("cell-b")),
-              writeMemSimResult(results[1]));
+    EXPECT_EQ(writeMemSimResult(replay.entries.at("cell-a"), true),
+              writeMemSimResult(results[0], true));
+    EXPECT_EQ(writeMemSimResult(replay.entries.at("cell-b"), true),
+              writeMemSimResult(results[1], true));
 
     // Re-opening an existing journal appends, never truncates.
     {
