@@ -20,7 +20,7 @@
  *     "metrics": { ...nested globalStats() tree... }
  *   }
  * v2 adds the "metrics.prof" subtree when MNM_PROF is active: per-phase
- * {cycles,instr,llc_miss,share,...} from obs/phase_profiler, plus
+ * {share,ticks,transitions} from obs/phase_profiler, plus
  * per-cell attribution under "metrics.prof.cell.<label>.<app>" for
  * sweeps. Consumers comparing manifests across job counts must ignore
  * "meta", "config.jobs"/"config.progress" and the "metrics.runner" and

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -23,8 +24,6 @@ constexpr int max_path_frames = 8;
 constexpr int folded_slots = 128; // power of two; ~10 paths in practice
 
 std::atomic<bool> prof_active{false};
-ProfMode prof_mode = ProfMode::Off;
-bool hw_fell_back = false;
 bool init_done = false;
 std::string folded_file;
 
@@ -48,9 +47,6 @@ struct ThreadProf
     int depth = 0;
     std::uint64_t path = 0; // collapsed-stack key of the open stack
     std::uint64_t last_tick = 0;
-    PerfSample last_sample;
-    PerfCounterGroup *group = nullptr; // hw mode only, opened lazily
-    bool group_tried = false;
     FoldedSlot folded[folded_slots];
     std::uint64_t folded_drops = 0; // ticks lost to table overflow
 };
@@ -97,20 +93,6 @@ addFolded(ThreadProf &t, std::uint64_t key, std::uint64_t ticks)
     t.folded_drops += ticks;
 }
 
-void
-maybeOpenGroup(ThreadProf &t)
-{
-    if (prof_mode != ProfMode::Hw || t.group_tried)
-        return;
-    t.group_tried = true;
-    auto *group = new PerfCounterGroup;
-    if (group->open() && group->read(t.last_sample)) {
-        t.group = group;
-    } else {
-        delete group;
-    }
-}
-
 /** Charge the interval since the last transition to the innermost open
  *  phase (restamp only when no scope is open). */
 void
@@ -122,35 +104,8 @@ settle(ThreadProf &t, std::uint64_t now)
     }
     const std::uint64_t delta = now - t.last_tick;
     t.last_tick = now;
-    PhaseCounters &c = t.totals.phase[t.stack[t.depth - 1]];
-    c.ticks += delta;
+    t.totals.phase[t.stack[t.depth - 1]].ticks += delta;
     addFolded(t, t.path, delta);
-    if (t.group) {
-        PerfSample s;
-        if (t.group->read(s)) {
-            c.cycles += s.cycles - t.last_sample.cycles;
-            c.instructions += s.instructions - t.last_sample.instructions;
-            c.llc_loads += s.llc_loads - t.last_sample.llc_loads;
-            c.llc_misses += s.llc_misses - t.last_sample.llc_misses;
-            c.branch_misses +=
-                s.branch_misses - t.last_sample.branch_misses;
-            c.task_clock_ns +=
-                s.task_clock_ns - t.last_sample.task_clock_ns;
-            t.last_sample = s;
-        } else {
-            delete t.group;
-            t.group = nullptr;
-        }
-    }
-}
-
-void
-closeThreadGroup(ThreadProf &t)
-{
-    delete t.group;
-    t.group = nullptr;
-    t.group_tried = false; // reopen if this thread profiles again
-    t.last_sample = PerfSample{};
 }
 
 std::uint64_t
@@ -204,12 +159,6 @@ addPhaseTotals(PhaseTotals &into, const PhaseTotals &from)
         const PhaseCounters &s = from.phase[i];
         d.ticks += s.ticks;
         d.transitions += s.transitions;
-        d.cycles += s.cycles;
-        d.instructions += s.instructions;
-        d.llc_loads += s.llc_loads;
-        d.llc_misses += s.llc_misses;
-        d.branch_misses += s.branch_misses;
-        d.task_clock_ns += s.task_clock_ns;
     }
 }
 
@@ -221,20 +170,18 @@ phaseTotalsDelta(const PhaseTotals &before, const PhaseTotals &after)
         d.phase[i].ticks = satSub(after.phase[i].ticks, before.phase[i].ticks);
         d.phase[i].transitions =
             satSub(after.phase[i].transitions, before.phase[i].transitions);
-        d.phase[i].cycles =
-            satSub(after.phase[i].cycles, before.phase[i].cycles);
-        d.phase[i].instructions = satSub(after.phase[i].instructions,
-                                         before.phase[i].instructions);
-        d.phase[i].llc_loads =
-            satSub(after.phase[i].llc_loads, before.phase[i].llc_loads);
-        d.phase[i].llc_misses =
-            satSub(after.phase[i].llc_misses, before.phase[i].llc_misses);
-        d.phase[i].branch_misses = satSub(after.phase[i].branch_misses,
-                                          before.phase[i].branch_misses);
-        d.phase[i].task_clock_ns = satSub(after.phase[i].task_clock_ns,
-                                          before.phase[i].task_clock_ns);
     }
     return d;
+}
+
+bool
+parseProfMode(const char *value)
+{
+    if (!value || !*value || std::strcmp(value, "off") == 0)
+        return false;
+    if (std::strcmp(value, "time") == 0)
+        return true;
+    fatal("unknown MNM_PROF value '%s' (expected off or time)", value);
 }
 
 bool
@@ -243,25 +190,12 @@ profActive()
     return prof_active.load(std::memory_order_relaxed);
 }
 
-ProfMode
-profMode()
-{
-    return prof_mode;
-}
-
-bool
-profHwFellBack()
-{
-    return hw_fell_back;
-}
-
 void
 PhaseScope::enter(Phase p)
 {
     ThreadProf &t = tls;
     if (t.depth >= max_stack_depth)
         return; // keep charging the parent; dtor stays paired via entered_
-    maybeOpenGroup(t);
     settle(t, profFastTick());
     t.stack[t.depth++] = static_cast<std::uint8_t>(p);
     if (t.depth <= max_path_frames)
@@ -287,23 +221,15 @@ initPhaseProfiler()
         return;
     init_done = true;
 
-    ProfMode mode = parseProfMode(std::getenv("MNM_PROF"));
+    const bool on = parseProfMode(std::getenv("MNM_PROF"));
     const char *folded = std::getenv("MNM_PROF_FOLDED");
     if (folded && *folded) {
-        if (mode == ProfMode::Off)
+        if (!on)
             fatal("MNM_PROF_FOLDED is set but MNM_PROF is off; set "
-                  "MNM_PROF=time or MNM_PROF=hw to collect stacks");
+                  "MNM_PROF=time to collect stacks");
         folded_file = folded;
     }
-    if (mode == ProfMode::Hw && !perfCountersAvailable()) {
-        warn("MNM_PROF=hw but perf_event_open is unavailable here "
-             "(container seccomp or perf_event_paranoid); degrading to "
-             "MNM_PROF=time -- the manifest records prof.hw_fallback=1");
-        hw_fell_back = true;
-        mode = ProfMode::Time;
-    }
-    prof_mode = mode;
-    prof_active.store(mode != ProfMode::Off, std::memory_order_relaxed);
+    prof_active.store(on, std::memory_order_relaxed);
 }
 
 PhaseTotals
@@ -354,7 +280,6 @@ flushThreadProf()
     if (!profActive())
         return;
     mergeGlobalProf(takeThreadProfile());
-    closeThreadGroup(tls);
 }
 
 void
@@ -368,14 +293,6 @@ foldPhaseTotals(StatsRegistry &reg, const PhaseTotals &totals,
             continue;
         const std::string base =
             prefix + "." + phaseName(static_cast<Phase>(i)) + ".";
-        // "cycles" is always present: the HW counter when measured,
-        // the tick count (TSC/CNTVCT) as its stand-in otherwise.
-        const std::uint64_t cycles =
-            prof_mode == ProfMode::Hw ? c.cycles : c.ticks;
-        reg.setGauge(base + "cycles", static_cast<double>(cycles));
-        reg.setGauge(base + "instr", static_cast<double>(c.instructions));
-        reg.setGauge(base + "llc_miss",
-                     static_cast<double>(c.llc_misses));
         reg.setGauge(base + "share",
                      total ? static_cast<double>(c.ticks) /
                                  static_cast<double>(total)
@@ -383,14 +300,6 @@ foldPhaseTotals(StatsRegistry &reg, const PhaseTotals &totals,
         reg.setGauge(base + "ticks", static_cast<double>(c.ticks));
         reg.setGauge(base + "transitions",
                      static_cast<double>(c.transitions));
-        if (prof_mode == ProfMode::Hw) {
-            reg.setGauge(base + "llc_loads",
-                         static_cast<double>(c.llc_loads));
-            reg.setGauge(base + "branch_miss",
-                         static_cast<double>(c.branch_misses));
-            reg.setGauge(base + "task_clock_ms",
-                         static_cast<double>(c.task_clock_ns) / 1e6);
-        }
     }
 }
 
@@ -401,8 +310,6 @@ foldProfGlobal(StatsRegistry &reg)
         return;
     flushThreadProf();
     foldPhaseTotals(reg, globalPhaseTotals(), "prof");
-    reg.setGauge("prof.mode", prof_mode == ProfMode::Hw ? 2.0 : 1.0);
-    reg.setGauge("prof.hw_fallback", hw_fell_back ? 1.0 : 0.0);
     reg.setGauge("prof.tick_hz", profTickHz());
 }
 
@@ -460,26 +367,21 @@ profFoldedPath()
 }
 
 void
-setProfModeForTest(ProfMode mode, const std::string &folded_path)
+setProfModeForTest(bool on, const std::string &folded_path)
 {
     init_done = true; // the environment no longer applies
-    prof_mode = mode;
-    hw_fell_back = false;
     folded_file = folded_path;
-    prof_active.store(mode != ProfMode::Off, std::memory_order_relaxed);
+    prof_active.store(on, std::memory_order_relaxed);
 }
 
 void
 resetPhaseProfilerForTest()
 {
     prof_active.store(false, std::memory_order_relaxed);
-    prof_mode = ProfMode::Off;
-    hw_fell_back = false;
     init_done = false;
     folded_file.clear();
 
     ThreadProf &t = tls;
-    closeThreadGroup(t);
     t.totals = PhaseTotals{};
     t.depth = 0;
     t.path = 0;

@@ -2,32 +2,32 @@
  * @file
  * Scoped per-phase attribution for the simulator hot path.
  *
- * The perf CI (PR 4/5) gates whole-cell instr/sec with no idea *where*
- * a regression landed. This layer answers that: PhaseScope objects
- * bracket the stages of MemorySimulator::run (batch generation,
- * L1-peek, SoA verdict kernel, update-feed walks, cold accounting) and
- * the profiler accumulates exclusive (self) time per phase -- a nested
- * scope's time is charged to the inner phase only, so "verdict" and
- * "update_feed" are directly comparable even though both run under the
- * hierarchy walk.
+ * A cell's CPU time says that a run got slower, not *where*. This
+ * layer answers that: PhaseScope objects bracket the stages of
+ * MemorySimulator::run (batch generation, L1-peek, SoA verdict kernel,
+ * update-feed walks, cold accounting) and the profiler accumulates
+ * exclusive (self) time per phase -- a nested scope's time is charged
+ * to the inner phase only, so "verdict" and "update_feed" are directly
+ * comparable even though both run under the hierarchy walk.
  *
  * Design constraints, in order:
  *
  *  1. Free when off. MNM_PROF unset/off leaves every PhaseScope as one
  *     relaxed atomic load and a predictable branch; stdout stays
  *     byte-identical (profiling output only ever goes to manifests,
- *     trace files, or stderr).
+ *     the folded-stack file, or stderr).
  *  2. No allocation or atomics on the hot path when on. All state is
  *     thread_local and fixed-size: an enum-indexed accumulator array, a
  *     16-deep phase stack, and a small open-addressed table of
  *     collapsed stack paths. The only synchronization is a mutex taken
  *     when a profile is merged into the global aggregate (once per
  *     flushed thread or delivered sweep cell, never per scope).
- *  3. Honest counters. In hw mode every phase transition reads the
- *     thread's PerfCounterGroup, so cycles/instructions/LLC-misses are
- *     measured, not modeled. That is a syscall per transition -- the
- *     mode is for attribution runs, not for the numbers the ratchet
- *     gates.
+ *
+ * The knob: MNM_PROF unset, empty or "off" leaves the profiler off;
+ * "time" arms it, charging each phase the fast-tick source's ticks
+ * (util/cpu.hh profFastTick: rdtsc / CNTVCT / steady_clock). Anything
+ * else is fatal (the repo's env-knob convention: a typo must not
+ * silently change what a bench measured).
  *
  * Attribution flow: a sweep worker process takes its thread profile
  * (takeThreadProfile) after each cell and ships it home in the cell's
@@ -49,8 +49,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "obs/perf_counters.hh"
 
 namespace mnm
 {
@@ -79,18 +77,11 @@ inline constexpr int num_phases = 9;
 /** Stable manifest segment for @p phase ("verdict", "update_feed", ...). */
 const char *phaseName(Phase phase);
 
-/** One phase's accumulated exclusive-time counters. ticks/transitions
- *  always fill; the hardware fields only in hw mode. */
+/** One phase's accumulated exclusive-time counters. */
 struct PhaseCounters
 {
     std::uint64_t ticks = 0;       //!< profFastTick units (self time)
     std::uint64_t transitions = 0; //!< scope enters charged here
-    std::uint64_t cycles = 0;      //!< hw mode: HW cycle counter delta
-    std::uint64_t instructions = 0;
-    std::uint64_t llc_loads = 0;
-    std::uint64_t llc_misses = 0;
-    std::uint64_t branch_misses = 0;
-    std::uint64_t task_clock_ns = 0;
 };
 
 /** A full per-phase profile (one thread's, one cell's, or the global
@@ -124,16 +115,13 @@ struct PhaseProfile
 PhaseTotals phaseTotalsDelta(const PhaseTotals &before,
                              const PhaseTotals &after);
 
-/** Is any profiling mode active? One relaxed atomic load; this is the
- *  whole cost of a PhaseScope when profiling is off. */
+/** Parse one MNM_PROF value: true for "time", false for null, empty
+ *  or "off"; fatal on anything else. */
+bool parseProfMode(const char *value);
+
+/** Is the profiler on? One relaxed atomic load; this is the whole cost
+ *  of a PhaseScope when profiling is off. */
 bool profActive();
-
-/** The resolved process-wide mode (after hw->time fallback). */
-ProfMode profMode();
-
-/** True when MNM_PROF=hw was requested but perf_event_open is
- *  unavailable and the profiler degraded to time mode. */
-bool profHwFellBack();
 
 /**
  * RAII phase bracket. Constructing settles the elapsed interval into
@@ -174,16 +162,15 @@ struct NoPhaseScope
 };
 
 /** PhaseScope or nothing, selected by a hot-path template flag. The
- *  caller picks the instantiation once per window (the mode cannot
- *  change mid-process). */
+ *  caller picks the instantiation once per window (the profiler cannot
+ *  switch on or off mid-process). */
 template <bool with_prof>
 using ProfScope = std::conditional_t<with_prof, PhaseScope, NoPhaseScope>;
 
 /**
  * Parse MNM_PROF / MNM_PROF_FOLDED and arm the profiler (first call
  * only; initRunTelemetry() calls this). Fatal on malformed values and
- * on MNM_PROF_FOLDED without an active mode; warns once and degrades
- * to time mode when hw counters are unavailable.
+ * on MNM_PROF_FOLDED without MNM_PROF=time.
  */
 void initPhaseProfiler();
 
@@ -191,32 +178,29 @@ void initPhaseProfiler();
  *  is settled first, so cell-boundary deltas are exact). */
 PhaseTotals threadPhaseTotals();
 
-/** Settle and return the calling thread's profile, and zero it (the
- *  hw counter group stays open). A sweep worker takes one per cell. */
+/** Settle and return the calling thread's profile, and zero it. A
+ *  sweep worker takes one per cell. */
 PhaseProfile takeThreadProfile();
 
 /** Add @p profile to the global aggregate that foldProfGlobal() and
  *  the MNM_PROF_FOLDED file report. */
 void mergeGlobalProf(const PhaseProfile &profile);
 
-/** mergeGlobalProf(takeThreadProfile()), then close the thread's
- *  counter group (idempotent). Each thread that profiles in-process
- *  calls this once when its work is done. */
+/** mergeGlobalProf(takeThreadProfile()). Each thread that profiles
+ *  in-process calls this once when its work is done. */
 void flushThreadProf();
 
 /**
- * Write @p totals as gauges under "<prefix>.<phase>.{ticks,cycles,
- * instr,llc_miss,share,...}". "cycles" is the hw counter in hw mode and
- * the tick count otherwise, so consumers can always read one key.
- * Phases that never ran are omitted.
+ * Write @p totals as gauges under "<prefix>.<phase>.{share,ticks,
+ * transitions}". Phases that never ran are omitted.
  */
 void foldPhaseTotals(StatsRegistry &reg, const PhaseTotals &totals,
                      const std::string &prefix);
 
 /**
  * The manifest-writer entry point: flush the calling thread and fold
- * the global aggregate under "prof.*" (plus prof.mode /
- * prof.hw_fallback / prof.tick_hz). No-op when profiling is off.
+ * the global aggregate under "prof.*" (plus prof.tick_hz). No-op when
+ * profiling is off.
  */
 void foldProfGlobal(StatsRegistry &reg);
 
@@ -234,10 +218,11 @@ std::size_t writeFoldedStacks(std::ostream &out);
 /** The MNM_PROF_FOLDED path ("" when unset). */
 const std::string &profFoldedPath();
 
-/** Test hooks: force a mode / folded path without the environment, and
- *  reset all profiler state (global aggregate, calling thread, init
- *  latch) so the next initPhaseProfiler() re-reads the environment. */
-void setProfModeForTest(ProfMode mode, const std::string &folded_path = "");
+/** Test hooks: switch the profiler on or off / set the folded path
+ *  without the environment, and reset all profiler state (global
+ *  aggregate, calling thread, init latch) so the next
+ *  initPhaseProfiler() re-reads the environment. */
+void setProfModeForTest(bool on, const std::string &folded_path = "");
 void resetPhaseProfilerForTest();
 
 } // namespace mnm

@@ -238,21 +238,22 @@ runDtlb(const SweepCell &cell)
     };
     if (cell.warm)
         window(cell.instructions / 10, false);
-    // Counters are cumulative; the warm-up's share is subtracted.
-    const TlbStats before = tlb.stats();
+    // The filter's coverage and energy cover the measured window, so
+    // the warm-up's share is subtracted; caches[0] is cumulative over
+    // the cell, as it is for every other cell model.
     const std::uint64_t id_before = filter ? filter->identified() : 0;
     const std::uint64_t un_before = filter ? filter->unidentified() : 0;
     const PicoJoules pj_before = filter ? filter->consumedEnergyPj() : 0.0;
     window(cell.instructions, true);
 
-    const TlbStats &after = tlb.stats();
+    const TlbStats &stats = tlb.stats();
     CacheSnapshot snap;
     snap.name = params.name;
     snap.level = 1;
-    snap.accesses = after.accesses.value() - before.accesses.value();
-    snap.hits = after.hits.value() - before.hits.value();
-    snap.misses = after.misses.value() - before.misses.value();
-    snap.bypasses = after.bypasses.value() - before.bypasses.value();
+    snap.accesses = stats.accesses.value();
+    snap.hits = stats.hits.value();
+    snap.misses = stats.misses.value();
+    snap.bypasses = stats.bypasses.value();
     snap.hit_rate = ratio(static_cast<double>(snap.hits),
                           static_cast<double>(snap.accesses));
     result.caches.push_back(snap);

@@ -42,12 +42,17 @@
  *                     virtual update feed instead of the batched event
  *                     ring + update kernels (CI byte-diffs it against
  *                     the batched default)
- *   MNM_PROF          off (default) | time | hw: per-phase attribution
- *                     of the simulator's own cost (batch generation,
- *                     L1-peek, verdict kernel, hierarchy walk, update
- *                     feed), folded into the manifest and the sweep
- *                     trace; hw reads real perf_event counters and
- *                     degrades to time where unavailable
+ *   MNM_OVERLAP       on (default) | off: generate batch N+1 while
+ *                     batch N is consumed (a producer thread, or
+ *                     software-pipelined slices on one hardware
+ *                     thread); off always runs the synchronous slices.
+ *                     A schedule knob only: output is bit-identical
+ *                     (trace/batch_pipeline.hh)
+ *   MNM_PROF          off (default) | time: per-phase attribution of
+ *                     the simulator's own cost in fast-tick ticks
+ *                     (batch generation, L1-peek, verdict kernel,
+ *                     hierarchy walk, update feed), folded into the
+ *                     manifest per phase, per cell and per worker
  *                     (obs/phase_profiler.hh)
  *   MNM_PROF_FOLDED   path; also write flamegraph.pl collapsed stacks
  *                     at exit (fatal without an active MNM_PROF)

@@ -71,9 +71,9 @@ constexpr std::uint32_t max_frame_bytes = 64u * 1024 * 1024;
 // profiler state is per-process; the supervisor cannot see it) and
 // ships each cell's PhaseProfile home inside the response frame:
 // {"phases":[...],"folded":[[key,ticks],...],"drops":N}. "phases" is
-// num_phases arrays of the 8 PhaseCounters fields in declaration order.
-// The worker is a fork of the supervisor, so both sides always agree
-// on the layout; the reader only rejects a malformed block.
+// num_phases [ticks,transitions] pairs. The worker is a fork of the
+// supervisor, so both sides always agree on the layout; the reader
+// only rejects a malformed block.
 
 void
 appendU64Array(std::string &out, std::initializer_list<std::uint64_t> v)
@@ -95,9 +95,7 @@ writePhaseProfile(const PhaseProfile &profile)
         const PhaseCounters &c = profile.totals.phase[p];
         if (p)
             out += ',';
-        appendU64Array(out, {c.ticks, c.transitions, c.cycles,
-                             c.instructions, c.llc_loads, c.llc_misses,
-                             c.branch_misses, c.task_clock_ns});
+        appendU64Array(out, {c.ticks, c.transitions});
     }
     out += "],\"folded\":[";
     for (std::size_t i = 0; i < profile.folded.size(); ++i) {
@@ -138,18 +136,10 @@ readPhaseProfile(const JsonValue &value)
     }
     PhaseProfile profile;
     for (int p = 0; p < num_phases; ++p) {
-        auto v = readU64Array(phases->asArray()[p], 8);
+        auto v = readU64Array(phases->asArray()[p], 2);
         if (!v)
             return std::nullopt;
-        PhaseCounters &c = profile.totals.phase[p];
-        c.ticks = (*v)[0];
-        c.transitions = (*v)[1];
-        c.cycles = (*v)[2];
-        c.instructions = (*v)[3];
-        c.llc_loads = (*v)[4];
-        c.llc_misses = (*v)[5];
-        c.branch_misses = (*v)[6];
-        c.task_clock_ns = (*v)[7];
+        profile.totals.phase[p] = {(*v)[0], (*v)[1]};
     }
     for (const JsonValue &entry : folded->asArray()) {
         auto v = readU64Array(entry, 2);

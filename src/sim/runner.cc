@@ -228,32 +228,6 @@ foldSweepTelemetry(const std::vector<SweepCell> &cells,
             globalTrace().addCompleteEvent(
                 name, "sweep", t.worker, t.start_us, t.dur_us,
                 {{"app", cell.app}, {"label", cell.label}});
-
-            // Phase sub-spans inside the cell's span: each phase's
-            // share of the cell's ticks scaled onto its wall clock,
-            // laid end to end. Not a timeline of when each phase ran
-            // (they interleave per request) but a to-scale breakdown
-            // in the same viewer.
-            if (!r.failed && profActive()) {
-                const std::uint64_t total =
-                    cell_prof[i].totalTicks();
-                std::uint64_t off_us = 0;
-                for (int p = 0; total && p < num_phases; ++p) {
-                    const std::uint64_t ticks =
-                        cell_prof[i].phase[p].ticks;
-                    if (!ticks)
-                        continue;
-                    const std::uint64_t dur = static_cast<std::uint64_t>(
-                        static_cast<double>(t.dur_us) *
-                        static_cast<double>(ticks) /
-                        static_cast<double>(total));
-                    globalTrace().addCompleteEvent(
-                        phaseName(static_cast<Phase>(p)), "prof",
-                        t.worker, t.start_us + off_us, dur,
-                        {{"cell", name}});
-                    off_us += dur;
-                }
-            }
         }
     }
 

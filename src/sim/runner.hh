@@ -89,8 +89,10 @@ struct SweepVariant
  *    associative DTLB, behind the single filter of cell.mnm when set.
  *    Reports through requests (translations), total_access_cycles,
  *    caches[0] (the DTLB), coverage (level 1), energy.mnm_pj (filter
- *    energy) and soundness_violations. caches[0] covers the measured
- *    window only; verdicts and feed_events stay 0.
+ *    energy) and soundness_violations. Like every cell model's,
+ *    caches[0] is cumulative over warm-up and measured window, while
+ *    coverage and energy.mnm_pj cover the measured window; verdicts
+ *    and feed_events stay 0.
  */
 MemSimResult runCell(const SweepCell &cell);
 

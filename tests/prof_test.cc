@@ -1,9 +1,9 @@
 /**
  * @file
- * The phase-attribution layer's contract (obs/phase_profiler,
- * obs/perf_counters): exclusive-time nesting and reentrancy, the
- * counter-group fallback ladder, the manifest's prof section, the
- * MNM_PROF* knob validation, and -- above all -- purity: with the knobs
+ * The phase-attribution layer's contract (obs/phase_profiler):
+ * exclusive-time nesting and reentrancy, the manifest's prof section,
+ * the sweep trace, the MNM_PROF* knob validation, and -- above all --
+ * purity: with the knobs
  * unset the profiler accumulates nothing and writes nothing, so every
  * bench's stdout stays byte-identical.
  */
@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -21,9 +23,10 @@
 #include "core/presets.hh"
 #include "cpu/cycle_core.hh"
 #include "obs/manifest.hh"
-#include "obs/perf_counters.hh"
+#include "obs/json.hh"
 #include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
+#include "obs/trace.hh"
 #include "sim/config.hh"
 #include "sim/experiment.hh"
 #include "sim/memory_sim.hh"
@@ -60,16 +63,12 @@ struct ProfReset
     ~ProfReset() { resetPhaseProfilerForTest(); }
 };
 
-TEST(ProfTest, ParseProfModeAcceptsTheThreeModes)
+TEST(ProfTest, ParseProfModeAcceptsOffAndTime)
 {
-    EXPECT_EQ(parseProfMode(nullptr), ProfMode::Off);
-    EXPECT_EQ(parseProfMode(""), ProfMode::Off);
-    EXPECT_EQ(parseProfMode("off"), ProfMode::Off);
-    EXPECT_EQ(parseProfMode("time"), ProfMode::Time);
-    EXPECT_EQ(parseProfMode("hw"), ProfMode::Hw);
-    EXPECT_STREQ(profModeName(ProfMode::Off), "off");
-    EXPECT_STREQ(profModeName(ProfMode::Time), "time");
-    EXPECT_STREQ(profModeName(ProfMode::Hw), "hw");
+    EXPECT_FALSE(parseProfMode(nullptr));
+    EXPECT_FALSE(parseProfMode(""));
+    EXPECT_FALSE(parseProfMode("off"));
+    EXPECT_TRUE(parseProfMode("time"));
 }
 
 TEST(ProfTest, MalformedProfModeDies)
@@ -77,6 +76,9 @@ TEST(ProfTest, MalformedProfModeDies)
     EXPECT_EXIT(parseProfMode("cycles"),
                 ::testing::ExitedWithCode(1), "MNM_PROF");
     EXPECT_EXIT(parseProfMode("TIME"),
+                ::testing::ExitedWithCode(1), "MNM_PROF");
+    // "hw" is not a mode; it dies like any typo.
+    EXPECT_EXIT(parseProfMode("hw"),
                 ::testing::ExitedWithCode(1), "MNM_PROF");
 }
 
@@ -92,24 +94,6 @@ TEST(ProfTest, FoldedWithoutModeDies)
             initPhaseProfiler();
         },
         ::testing::ExitedWithCode(1), "MNM_PROF_FOLDED");
-}
-
-TEST(ProfTest, HwModeResolvesOrFallsBackOnce)
-{
-    ProfReset guard;
-    setenv("MNM_PROF", "hw", 1);
-    unsetenv("MNM_PROF_FOLDED");
-    initPhaseProfiler();
-    unsetenv("MNM_PROF");
-    ASSERT_TRUE(profActive());
-    if (perfCountersAvailable()) {
-        EXPECT_EQ(profMode(), ProfMode::Hw);
-        EXPECT_FALSE(profHwFellBack());
-    } else {
-        // The degrade path: the request survives as time attribution.
-        EXPECT_EQ(profMode(), ProfMode::Time);
-        EXPECT_TRUE(profHwFellBack());
-    }
 }
 
 TEST(ProfTest, OffMeansNothingAccumulates)
@@ -131,7 +115,7 @@ TEST(ProfTest, OffMeansNothingAccumulates)
 TEST(ProfTest, NestingAttributesExclusiveTime)
 {
     ProfReset guard;
-    setProfModeForTest(ProfMode::Time);
+    setProfModeForTest(true);
     {
         PhaseScope run(Phase::Run);
         spinTicks();
@@ -170,7 +154,7 @@ TEST(ProfTest, NestingAttributesExclusiveTime)
 TEST(ProfTest, DeltaIsolatesAWindow)
 {
     ProfReset guard;
-    setProfModeForTest(ProfMode::Time);
+    setProfModeForTest(true);
     {
         PhaseScope run(Phase::Run);
         spinTicks();
@@ -188,38 +172,10 @@ TEST(ProfTest, DeltaIsolatesAWindow)
     EXPECT_EQ(delta.phase[phaseIdx(Phase::Verdict)].transitions, 1u);
 }
 
-TEST(ProfTest, CounterGroupFallsBackGracefully)
-{
-    PerfCounterGroup group;
-    PerfSample sample;
-    if (!group.open()) {
-        // The container/non-Linux path: never ok, read reports failure
-        // and zeroes the sample instead of leaving garbage.
-        EXPECT_FALSE(group.ok());
-        EXPECT_FALSE(group.read(sample));
-        EXPECT_EQ(sample.cycles, 0u);
-        EXPECT_EQ(sample.instructions, 0u);
-        EXPECT_FALSE(perfCountersAvailable());
-        return;
-    }
-    ASSERT_TRUE(group.ok());
-    ASSERT_TRUE(group.read(sample));
-    spinTicks();
-    PerfSample later;
-    ASSERT_TRUE(group.read(later));
-    // Mandatory counters advance across a busy window; monotone totals.
-    EXPECT_GT(later.cycles, sample.cycles);
-    EXPECT_GT(later.instructions, sample.instructions);
-    EXPECT_GE(later.task_clock_ns, sample.task_clock_ns);
-    group.close();
-    EXPECT_FALSE(group.ok());
-    EXPECT_TRUE(perfCountersAvailable());
-}
-
 TEST(ProfTest, FoldedStacksRecordThePaths)
 {
     ProfReset guard;
-    setProfModeForTest(ProfMode::Time);
+    setProfModeForTest(true);
     {
         PhaseScope run(Phase::Run);
         spinTicks();
@@ -237,7 +193,7 @@ TEST(ProfTest, FoldedStacksRecordThePaths)
 TEST(ProfTest, ManifestCarriesTheProfSection)
 {
     ProfReset guard;
-    setProfModeForTest(ProfMode::Time);
+    setProfModeForTest(true);
     globalStats().clear();
     {
         PhaseScope run(Phase::Run);
@@ -250,13 +206,11 @@ TEST(ProfTest, ManifestCarriesTheProfSection)
     const std::string doc = doc_stream.str();
     EXPECT_NE(doc.find("\"schema\": \"mnm-run-manifest-v2\""),
               std::string::npos);
-    // Schema: metrics.prof.<phase>.{cycles,instr,llc_miss,share,...}
-    // plus the mode/fallback/tick markers.
+    // Schema: metrics.prof.<phase>.{share,ticks,transitions} plus the
+    // tick rate.
     for (const char *key :
-         {"\"prof\":", "\"run\":", "\"verdict\":", "\"cycles\":",
-          "\"instr\":", "\"llc_miss\":", "\"share\":", "\"ticks\":",
-          "\"transitions\":", "\"mode\":", "\"hw_fallback\":",
-          "\"tick_hz\":"}) {
+         {"\"prof\":", "\"run\":", "\"verdict\":", "\"share\":",
+          "\"ticks\":", "\"transitions\":", "\"tick_hz\":"}) {
         EXPECT_NE(doc.find(key), std::string::npos) << key;
     }
     globalStats().clear();
@@ -265,7 +219,7 @@ TEST(ProfTest, ManifestCarriesTheProfSection)
 TEST(ProfTest, SweepAttributesPerCellAndNothingOnStdout)
 {
     ProfReset guard;
-    setProfModeForTest(ProfMode::Time);
+    setProfModeForTest(true);
     globalStats().clear();
 
     std::vector<SweepVariant> variants = {
@@ -283,7 +237,7 @@ TEST(ProfTest, SweepAttributesPerCellAndNothingOnStdout)
     EXPECT_EQ(::testing::internal::GetCapturedStdout(), "");
 
     StatsRegistry &stats = globalStats();
-    EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.verdict.cycles"));
+    EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.verdict.ticks"));
     // Batched feed: the update side drains under feed_drain (the
     // per-event update_feed phase only runs on the reference paths).
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.feed_drain.share"));
@@ -304,7 +258,7 @@ TEST(ProfTest, WorkerProcessesShipAttributionOverTheResultPipe)
                                     "mnm_prof_pool_" +
                                     std::to_string(::getpid()) + ".folded";
     std::remove(folded_path.c_str());
-    setProfModeForTest(ProfMode::Time, folded_path);
+    setProfModeForTest(true, folded_path);
     globalStats().clear();
 
     std::vector<SweepVariant> variants = {
@@ -325,7 +279,7 @@ TEST(ProfTest, WorkerProcessesShipAttributionOverTheResultPipe)
     // its profile home in the response frame; the supervisor folded it
     // into the prof.cell.* and prof.worker.w<k>.* metrics.
     StatsRegistry &stats = globalStats();
-    EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.verdict.cycles"));
+    EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.verdict.ticks"));
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.feed_drain.share"));
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.hier_walk.ticks"));
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.mcf.hier_walk.ticks"));
@@ -371,13 +325,104 @@ TEST(ProfTest, WorkerProcessesShipAttributionOverTheResultPipe)
     globalStats().clear();
 }
 
+/** Check every phase node under the prof subtree @p node (the process
+ *  totals, and through the cell/worker nests each cell's and worker's)
+ *  holds exactly share, ticks and transitions; count them in @p seen. */
+void
+expectPhaseNodesHoldOnlyTicks(const JsonValue &node, const std::string &path,
+                              std::size_t &seen)
+{
+    std::set<std::string> phases;
+    for (int p = 0; p < num_phases; ++p)
+        phases.insert(phaseName(static_cast<Phase>(p)));
+    for (const auto &[key, child] : node.asObject()) {
+        if (!child.isObject())
+            continue;
+        if (!phases.count(key)) {
+            expectPhaseNodesHoldOnlyTicks(child, path + "." + key, seen);
+            continue;
+        }
+        std::set<std::string> fields;
+        for (const auto &[field, value] : child.asObject())
+            fields.insert(field);
+        EXPECT_EQ(fields,
+                  (std::set<std::string>{"share", "ticks", "transitions"}))
+            << path << "." << key;
+        ++seen;
+    }
+}
+
+TEST(ProfTest, SweepTraceHasOneEventPerCellAndPhasesHoldOnlyTicks)
+{
+    ProfReset guard;
+    setProfModeForTest(true);
+    globalStats().clear();
+    globalTrace().clear();
+    const std::string trace_path = ::testing::TempDir() +
+                                   "mnm_prof_trace_" +
+                                   std::to_string(::getpid()) + ".json";
+    setRunArtifactPathsForTest("", trace_path);
+
+    std::vector<SweepVariant> variants = {
+        {"HMNM2", paperHierarchy(5), makeHmnmSpec(2)},
+        {"HMNM4", paperHierarchy(5), makeHmnmSpec(4)},
+    };
+    std::vector<SweepCell> cells =
+        makeGridCells({"164.gzip", "181.mcf"}, variants, 20000);
+    ExperimentOptions opts;
+    opts.jobs = 2;
+
+    ::testing::internal::CaptureStdout();
+    runSweep(cells, opts);
+    foldProfGlobal(globalStats());
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(), "");
+
+    // The trace carries the cells' own spans and nothing synthetic:
+    // exactly one complete event per cell.
+    writeRunArtifacts();
+    setRunArtifactPathsForTest("", "");
+    std::ifstream trace_in(trace_path);
+    ASSERT_TRUE(trace_in.good());
+    std::stringstream trace_text;
+    trace_text << trace_in.rdbuf();
+    std::optional<JsonValue> trace = parseJson(trace_text.str());
+    ASSERT_TRUE(trace.has_value());
+    const JsonValue *events = trace->find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->asArray().size(), cells.size());
+    for (const JsonValue &event : events->asArray()) {
+        EXPECT_EQ(event.getString("ph"), std::optional<std::string>("X"));
+        EXPECT_EQ(event.getString("cat"),
+                  std::optional<std::string>("sweep"));
+    }
+
+    std::ostringstream doc_stream;
+    writeRunManifest(doc_stream);
+    std::optional<JsonValue> doc = parseJson(doc_stream.str());
+    ASSERT_TRUE(doc.has_value());
+    const JsonValue *metrics = doc->find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    const JsonValue *prof = metrics->find("prof");
+    ASSERT_NE(prof, nullptr);
+    ASSERT_TRUE(prof->find("cell") != nullptr);
+    std::size_t seen = 0;
+    expectPhaseNodesHoldOnlyTicks(*prof, "prof", seen);
+    // Process totals, four cells and at least one worker, each with
+    // several phases.
+    EXPECT_GT(seen, 5u * 3u);
+
+    std::remove(trace_path.c_str());
+    globalStats().clear();
+    globalTrace().clear();
+}
+
 TEST(ProfTest, TimingCoresAttributeRunAndRefills)
 {
     // Each core charges run() to run and each bounded refill to
     // batch_gen, so a profiled timing bench no longer reads as pure
     // feed_drain. 1000 instructions are four refills of 256.
     ProfReset guard;
-    setProfModeForTest(ProfMode::Time);
+    setProfModeForTest(true);
     auto check = [](auto &core, const char *what) {
         auto workload = makeSpecWorkload("181.mcf");
         const PhaseTotals before = threadPhaseTotals();
@@ -417,7 +462,7 @@ TEST(ProfTest, SimulationIsByteIdenticalUnderProfiling)
     MemSimResult on_result;
     {
         resetPhaseProfilerForTest();
-        setProfModeForTest(ProfMode::Time);
+        setProfModeForTest(true);
         auto workload = makeSpecWorkload("164.gzip");
         MemorySimulator sim(paperHierarchy(5), makeHmnmSpec(2));
         on_result = sim.run(*workload, 30000);

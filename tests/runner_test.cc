@@ -350,5 +350,38 @@ TEST(RunnerTest, TimingCellsMatchDirectCoreRuns)
     EXPECT_NE(results[0].cpu.cycles, results[2].cpu.cycles);
 }
 
+TEST(RunnerTest, DtlbCellCachesSpanTheWholeCell)
+{
+    // A DTLB cell's caches[0] is cumulative over warm-up and measured
+    // window, as every cell model's is, while requests and coverage
+    // cover the measured window. The warm-up is the stream's first
+    // instructions/10 records, so the warm cell's TLB counts equal a
+    // cold cell's over instructions + instructions/10.
+    SweepCell warm{"181.mcf", paperHierarchy(5), mnmSpecByName("TMNM_8x2"),
+                   40000, "dtlb warm", CellModel::Dtlb};
+    SweepCell longer = warm;
+    longer.instructions = 44000;
+    longer.label = "dtlb cold 44k";
+    longer.warm = false;
+    SweepCell window = warm;
+    window.label = "dtlb cold";
+    window.warm = false;
+    const MemSimResult w = runCell(warm);
+    const MemSimResult l = runCell(longer);
+    const MemSimResult c = runCell(window);
+    ASSERT_EQ(w.caches.size(), 1u);
+    EXPECT_EQ(w.caches[0].accesses, l.caches[0].accesses);
+    EXPECT_EQ(w.caches[0].hits, l.caches[0].hits);
+    EXPECT_EQ(w.caches[0].misses, l.caches[0].misses);
+    EXPECT_EQ(w.caches[0].bypasses, l.caches[0].bypasses);
+    // Every translation probes the TLB or bypasses it. A cold cell's
+    // snapshot is its measured window; a warm cell's holds the
+    // warm-up's translations and bypasses on top of it.
+    EXPECT_EQ(c.caches[0].accesses + c.caches[0].bypasses, c.requests);
+    EXPECT_EQ(c.caches[0].bypasses, c.coverage.identified());
+    EXPECT_GT(w.caches[0].accesses + w.caches[0].bypasses, w.requests);
+    EXPECT_GT(w.caches[0].bypasses, w.coverage.identified());
+}
+
 } // anonymous namespace
 } // namespace mnm

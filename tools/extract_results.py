@@ -35,21 +35,22 @@ ignoring the fields that legitimately differ between runs: "meta",
 prove sweeps fold identical statistics at any MNM_JOBS.
 
 With --prof, each run manifest's phase-attribution profile (the
-metrics.prof subtree a run records under MNM_PROF=time|hw) is printed
-as per-phase cycle/share tables: the process-wide totals, then each
-attributed sweep cell and worker. Hardware columns (instr, llc_miss)
-print "-" when the run fell back to time mode. An input without any
-profile is an error -- it means the run was made without MNM_PROF.
+metrics.prof subtree a run records under MNM_PROF=time) is printed as
+per-phase tick/share/transition tables: the process-wide totals, then
+each attributed sweep cell and worker. An input without any profile is
+an error -- it means the run was made without MNM_PROF=time.
 
 With --journal, an MNM_CHECKPOINT journal is summarized: schema,
 completed-cell count, total journaled instructions, and any torn or
 foreign lines (reported, never fatal -- a truncated tail is exactly
 what the journal is designed to survive). Every record carries a
 CRC-32 envelope, and the process pool adds operational records: the
-tool verifies every CRC and summarizes leases issued, re-issued cells,
-leased-but-uncommitted cells (the ones a resuming run re-executes),
-worker respawns, poisoned cells, and any corrupt (bit-flipped)
-records. Only mnm-checkpoint-v2 journals are summarized: a resuming
+tool verifies every CRC and summarizes leases issued, re-issues (lease
+records with seq above 1: the supervisor numbers each cell's issues
+from 1 in every run, so a resumed run's fresh leases are not
+re-issues), leased-but-uncommitted cells (the ones a resuming run
+re-executes), worker respawns, poisoned cells, and any corrupt
+(bit-flipped) records. Only mnm-checkpoint-v2 journals are summarized: a resuming
 run ignores any other header (an mnm-checkpoint-v1 journal included)
 and starts fresh, so the tool says so and exits 1.
 
@@ -232,31 +233,25 @@ PROF_PHASE_ORDER = ("run", "batch_gen", "l1_peek", "verdict",
 def prof_phase_rows(node):
     """[(phase, counters-dict)] for one attributed entity: the dict
     children of @p node that look like phase leaves (have a numeric
-    "cycles"), in enum order."""
+    "ticks"), in enum order."""
     rows = []
     for name, child in node.items():
         if (isinstance(child, dict)
-                and isinstance(child.get("cycles"), (int, float))):
+                and isinstance(child.get("ticks"), (int, float))):
             rows.append((name, child))
     order = {p: i for i, p in enumerate(PROF_PHASE_ORDER)}
     rows.sort(key=lambda kv: (order.get(kv[0], len(order)), kv[0]))
     return rows
 
 
-def print_prof_table(title, rows, hw):
-    """One per-phase attribution table. @p hw switches the hardware
-    columns (instr, llc_miss) from "-" placeholders to numbers."""
+def print_prof_table(title, rows):
+    """One per-phase attribution table."""
     print(f"  {title}")
-    print(f"    {'phase':<14} {'cycles':>16} {'share':>7} "
-          f"{'instr':>16} {'llc_miss':>12}")
+    print(f"    {'phase':<14} {'ticks':>16} {'share':>7} "
+          f"{'transitions':>12}")
     for phase, c in rows:
-        share = c.get("share", 0.0)
-        instr = f"{c['instr']:16.0f}" if hw and "instr" in c else (
-            f"{'-':>16}")
-        llc = f"{c['llc_miss']:12.0f}" if hw and "llc_miss" in c else (
-            f"{'-':>12}")
-        print(f"    {phase:<14} {c.get('cycles', 0):16.0f} "
-              f"{share:7.1%} {instr} {llc}")
+        print(f"    {phase:<14} {c['ticks']:16.0f} "
+              f"{c.get('share', 0.0):7.1%} {c.get('transitions', 0):12.0f}")
 
 
 def run_prof(paths) -> int:
@@ -271,20 +266,16 @@ def run_prof(paths) -> int:
         prof = doc.get("metrics", {}).get("prof")
         if not isinstance(prof, dict) or not prof:
             print(f"{path}: no metrics.prof subtree (was the run made "
-                  f"with MNM_PROF=time or hw?)", file=sys.stderr)
+                  f"with MNM_PROF=time?)", file=sys.stderr)
             status = 1
             continue
-        hw = prof.get("mode") == 2
-        mode = {1: "time", 2: "hw"}.get(prof.get("mode"), "?")
-        line = f"{path}: phase attribution, MNM_PROF={mode}"
-        if prof.get("hw_fallback"):
-            line += " (hw requested, fell back to time)"
+        line = f"{path}: phase attribution, MNM_PROF=time"
         if isinstance(prof.get("tick_hz"), (int, float)):
             line += f", tick {prof['tick_hz'] / 1e9:.2f} GHz"
         print(line)
         totals = prof_phase_rows(prof)
         if totals:
-            print_prof_table("process totals", totals, hw)
+            print_prof_table("process totals", totals)
         for group in ("cell", "worker"):
             tree = prof.get(group)
             if not isinstance(tree, dict):
@@ -294,13 +285,12 @@ def run_prof(paths) -> int:
                 node = tree[label]
                 rows = prof_phase_rows(node)
                 if rows:
-                    print_prof_table(f"{group} {label}", rows, hw)
+                    print_prof_table(f"{group} {label}", rows)
                     continue
                 for app in sorted(node):
                     rows = prof_phase_rows(node[app])
                     if rows:
-                        print_prof_table(f"{group} {label}.{app}",
-                                         rows, hw)
+                        print_prof_table(f"{group} {label}.{app}", rows)
         if not totals:
             print(f"{path}: metrics.prof holds no phase leaves",
                   file=sys.stderr)
@@ -327,7 +317,7 @@ def summarize_journal(lines):
     folded into the counters."""
     entries = {}
     leases = {}
-    counters = {"torn": 0, "corrupt": 0, "respawns": 0}
+    counters = {"torn": 0, "corrupt": 0, "respawns": 0, "reissues": 0}
     poisoned = {}
     for line in lines:
         match = ENVELOPE_RE.match(line)
@@ -360,6 +350,11 @@ def summarize_journal(lines):
             fp = record.get("fp")
             if fp is not None:
                 leases[fp] = leases.get(fp, 0) + 1
+                # seq restarts at 1 in every run: only a later issue
+                # within one run is a re-issue.
+                seq = record.get("seq", 1)
+                if isinstance(seq, int) and seq > 1:
+                    counters["reissues"] += 1
         elif kind == "respawn":
             counters["respawns"] += 1
         elif kind == "poison":
@@ -370,7 +365,6 @@ def summarize_journal(lines):
             counters["torn"] += 1
     counters["leases"] = sum(leases.values())
     counters["leased_cells"] = len(leases)
-    counters["reissues"] = sum(n - 1 for n in leases.values() if n > 1)
     counters["uncommitted"] = sum(
         1 for fp in leases
         if fp not in entries and fp not in poisoned)

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Checks of the suite gates' arithmetic (tools/run_suite.py) and of
-extract_results.py's refusals: journals a resuming run ignores, and
-options it does not know. Runs under ctest; no bench is run.
+"""Checks of the suite gates' arithmetic (tools/run_suite.py), of
+extract_results.py's journal summary and refusals (journals a resuming
+run ignores, options it does not know), and of the environment-knob
+inventory: every getenv("MNM_...") in src/ is documented in
+src/sim/experiment.hh's knob comment and README's knob block. Runs
+under ctest; no bench is run.
 
 usage: python3 tools/test_run_suite.py
 """
@@ -10,9 +13,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import unittest
+import zlib
 from unittest import mock
 
 # Import the tools from beside this file without leaving a bytecode
@@ -22,6 +27,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import extract_results  # noqa: E402
 import run_suite  # noqa: E402
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BASE = [40.0, 41.0, 39.5, 40.5, 42.0, 40.2, 39.8, 41.5, 40.8, 39.9]
 
@@ -140,6 +147,31 @@ class ExtractResultsTest(unittest.TestCase):
         self.assertNotIn("completed cells", out)
         self.assertIn("start fresh", err)
 
+    @staticmethod
+    def envelope(record):
+        rec = json.dumps(record, separators=(",", ":"))
+        crc = zlib.crc32(rec.encode("utf-8")) & 0xffffffff
+        return f'{{"crc":"{crc:08x}","rec":{rec}}}'
+
+    def lease(self, fp, seq):
+        return self.envelope({"type": "lease", "fp": fp, "worker": 0,
+                              "seq": seq})
+
+    def test_resumed_runs_fresh_leases_are_not_reissues(self):
+        # Two runs each lease the same two cells once: seq restarts at
+        # 1 in every run, so nothing was re-issued.
+        header = json.dumps({"schema": "mnm-checkpoint-v2"})
+        first_run = [self.lease("a", 1), self.lease("b", 1)]
+        resumed = [self.lease("a", 1), self.lease("b", 1)]
+        rc, out, _ = self.summarize([header] + first_run + resumed)
+        self.assertEqual(rc, 0)
+        self.assertIn("4 leases issued over 2 cells; 0 re-issues", out)
+        # A second issue of one cell within a run is a re-issue.
+        rc, out, _ = self.summarize([header] + first_run + resumed +
+                                    [self.lease("a", 2)])
+        self.assertEqual(rc, 0)
+        self.assertIn("5 leases issued over 2 cells; 1 re-issues", out)
+
     def test_v2_journal_is_summarized(self):
         rc, out, _ = self.summarize(
             [json.dumps({"schema": "mnm-checkpoint-v2"})])
@@ -153,6 +185,50 @@ class ExtractResultsTest(unittest.TestCase):
                 contextlib.redirect_stderr(err):
             self.assertEqual(extract_results.main(), 1)
         self.assertIn("unknown option --perf", err.getvalue())
+
+
+def source_knobs():
+    """Every MNM_* name src/ reads with getenv("...")."""
+    names = set()
+    for root, _, files in os.walk(os.path.join(REPO, "src")):
+        for name in files:
+            if name.endswith((".cc", ".hh")):
+                with open(os.path.join(root, name)) as f:
+                    names.update(re.findall(
+                        r'getenv\("(MNM_[A-Z0-9_]+)"\)', f.read()))
+    return names
+
+
+def experiment_hh_knobs():
+    """The knob names listed in src/sim/experiment.hh's file comment."""
+    with open(os.path.join(REPO, "src", "sim", "experiment.hh")) as f:
+        comment = f.read().split("*/", 1)[0]
+    return set(re.findall(r"^ \*   (MNM_[A-Z0-9_]+)\s", comment, re.M))
+
+
+def readme_knobs():
+    """The knob names set in README's "Environment knobs" block."""
+    with open(os.path.join(REPO, "README.md")) as f:
+        text = f.read()
+    block = text.split("Environment knobs", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return set(re.findall(r"^(MNM_[A-Z0-9_]+)=", block, re.M))
+
+
+class KnobInventoryTest(unittest.TestCase):
+    def test_source_reads_knobs(self):
+        self.assertIn("MNM_JOBS", source_knobs())
+
+    def test_experiment_hh_lists_every_knob(self):
+        missing = source_knobs() - experiment_hh_knobs()
+        self.assertEqual(missing, set(),
+                         "read in src/ but not in experiment.hh's knob "
+                         "comment")
+
+    def test_readme_lists_every_knob(self):
+        missing = source_knobs() - readme_knobs()
+        self.assertEqual(missing, set(),
+                         "read in src/ but not in README's knob block")
 
 
 if __name__ == "__main__":
