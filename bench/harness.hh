@@ -124,11 +124,11 @@ class SweepTableBench
         }
     }
 
-    /** Mean row, print (plain/CSV per MNM_CSV), sweep exit code. */
+    /** Mean row, print, sweep exit code. */
     int finish(int decimals)
     {
         table_.addMeanRow("Arith. Mean", decimals);
-        table_.print(opts_.csv);
+        table_.print();
         return sweepExitCode();
     }
 

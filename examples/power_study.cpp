@@ -40,7 +40,7 @@ main(int argc, char **argv)
             {app, paperHierarchy(5), spec, instructions, config});
     }
     // App and budget come from argv; execution knobs (jobs, checkpoint,
-    // retries, cell timeout) from the environment like every bench.
+    // poison limit, cell timeout) from the environment like every bench.
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     std::vector<MemSimResult> results = runSweep(cells, opts);
     const MemSimResult &base = results[0];

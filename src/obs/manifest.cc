@@ -32,7 +32,6 @@ struct RunInfo
     std::uint64_t instructions = 0;
     std::vector<std::string> apps;
     unsigned jobs = 0;
-    bool csv = false;
 };
 
 std::mutex &
@@ -64,7 +63,7 @@ initRunTelemetry(const std::string &run_name)
     RunInfo &info = runInfo();
     if (!info.initialized) {
         info.initialized = true;
-        // The profiling knobs resolve here too, so a malformed MNM_PROF
+        // The profiling knob resolves here too, so a malformed MNM_PROF
         // dies at startup and every harness that records telemetry also
         // attributes it.
         initPhaseProfiler();
@@ -72,8 +71,7 @@ initRunTelemetry(const std::string &run_name)
             info.stats_path = env;
         if (const char *env = std::getenv("MNM_TRACE_FILE"))
             info.trace_path = env;
-        if (!info.stats_path.empty() || !info.trace_path.empty() ||
-            !profFoldedPath().empty()) {
+        if (!info.stats_path.empty() || !info.trace_path.empty()) {
             // Force-construct the singletons the exit hook reads NOW:
             // function-local statics are destroyed in reverse
             // construction order, interleaved with atexit handlers, so
@@ -97,8 +95,7 @@ setRunName(const std::string &run_name)
 
 void
 setRunConfig(std::uint64_t instructions,
-             const std::vector<std::string> &apps, unsigned jobs,
-             bool csv)
+             const std::vector<std::string> &apps, unsigned jobs)
 {
     std::scoped_lock lock(runInfoMutex());
     RunInfo &info = runInfo();
@@ -106,7 +103,6 @@ setRunConfig(std::uint64_t instructions,
     info.instructions = instructions;
     info.apps = apps;
     info.jobs = jobs;
-    info.csv = csv;
 }
 
 bool
@@ -163,7 +159,6 @@ writeRunManifest(std::ostream &out)
     if (info.have_config) {
         json.field("instructions", info.instructions);
         json.field("jobs", info.jobs);
-        json.field("csv", info.csv);
         json.key("apps");
         json.beginArray();
         for (const std::string &app : info.apps)
@@ -206,7 +201,6 @@ writeRunArtifacts()
             out << "\n";
         }
     }
-    writeProfFoldedFile();
 }
 
 void

@@ -15,8 +15,7 @@
  *   {
  *     "schema": "mnm-run-manifest-v2",
  *     "meta":    { "git_describe": ..., "run": ... },
- *     "config":  { "instructions": ..., "jobs": ..., "csv": ...,
- *                  "apps": [...] },
+ *     "config":  { "instructions": ..., "jobs": ..., "apps": [...] },
  *     "metrics": { ...nested globalStats() tree... }
  *   }
  * v2 adds the "metrics.prof" subtree when MNM_PROF is active: per-phase
@@ -27,9 +26,8 @@
  * "metrics.prof" subtrees (wall-clock telemetry); tools/
  * extract_results.py --diff does exactly that.
  *
- * initRunTelemetry() also resolves the profiling knobs (MNM_PROF,
- * MNM_PROF_FOLDED -- see obs/phase_profiler.hh) so a folded-stack
- * export is written at exit even when the manifest knobs are unset.
+ * initRunTelemetry() also resolves the profiling knob (MNM_PROF, see
+ * obs/phase_profiler.hh), whose totals land in the manifest.
  */
 
 #ifndef MNM_OBS_MANIFEST_HH
@@ -57,8 +55,7 @@ void setRunName(const std::string &run_name);
 /** Echo the experiment configuration into the manifest. @p jobs is
  *  the MNM_JOBS worker-process count. */
 void setRunConfig(std::uint64_t instructions,
-                  const std::vector<std::string> &apps, unsigned jobs,
-                  bool csv);
+                  const std::vector<std::string> &apps, unsigned jobs);
 
 /** True when MNM_STATS_JSON was set (after initRunTelemetry). */
 bool statsJsonEnabled();

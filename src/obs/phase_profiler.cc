@@ -3,9 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <mutex>
+#include <utility>
 
 #include "obs/registry.hh"
 #include "util/cpu.hh"
@@ -18,20 +17,9 @@ namespace
 {
 
 constexpr int max_stack_depth = 16;
-// The collapsed-stack key packs one byte per frame into a u64; deeper
-// nesting keeps accumulating time but stops extending the path.
-constexpr int max_path_frames = 8;
-constexpr int folded_slots = 128; // power of two; ~10 paths in practice
 
 std::atomic<bool> prof_active{false};
 bool init_done = false;
-std::string folded_file;
-
-struct FoldedSlot
-{
-    std::uint64_t key = 0; // 0 = empty
-    std::uint64_t ticks = 0;
-};
 
 /**
  * One thread's profiler state. Trivially destructible on purpose: no
@@ -45,10 +33,7 @@ struct ThreadProf
     PhaseTotals totals;
     std::uint8_t stack[max_stack_depth] = {};
     int depth = 0;
-    std::uint64_t path = 0; // collapsed-stack key of the open stack
     std::uint64_t last_tick = 0;
-    FoldedSlot folded[folded_slots];
-    std::uint64_t folded_drops = 0; // ticks lost to table overflow
 };
 
 thread_local ThreadProf tls;
@@ -57,8 +42,6 @@ struct GlobalProf
 {
     std::mutex mutex;
     PhaseTotals totals;
-    std::map<std::uint64_t, std::uint64_t> folded;
-    std::uint64_t folded_drops = 0;
 };
 
 GlobalProf &
@@ -68,29 +51,6 @@ globalProf()
     // may have begun, so this aggregate must never die.
     static GlobalProf *const g = new GlobalProf;
     return *g;
-}
-
-void
-addFolded(ThreadProf &t, std::uint64_t key, std::uint64_t ticks)
-{
-    if (key == 0 || ticks == 0)
-        return;
-    const std::uint64_t h = key * 0x9e3779b97f4a7c15ULL;
-    for (int probe = 0; probe < folded_slots; ++probe) {
-        FoldedSlot &slot =
-            t.folded[(h + static_cast<std::uint64_t>(probe)) &
-                     (folded_slots - 1)];
-        if (slot.key == key) {
-            slot.ticks += ticks;
-            return;
-        }
-        if (slot.key == 0) {
-            slot.key = key;
-            slot.ticks = ticks;
-            return;
-        }
-    }
-    t.folded_drops += ticks;
 }
 
 /** Charge the interval since the last transition to the innermost open
@@ -105,7 +65,6 @@ settle(ThreadProf &t, std::uint64_t now)
     const std::uint64_t delta = now - t.last_tick;
     t.last_tick = now;
     t.totals.phase[t.stack[t.depth - 1]].ticks += delta;
-    addFolded(t, t.path, delta);
 }
 
 std::uint64_t
@@ -198,8 +157,6 @@ PhaseScope::enter(Phase p)
         return; // keep charging the parent; dtor stays paired via entered_
     settle(t, profFastTick());
     t.stack[t.depth++] = static_cast<std::uint8_t>(p);
-    if (t.depth <= max_path_frames)
-        t.path = (t.path << 8) | (static_cast<std::uint64_t>(p) + 1);
     t.totals.phase[static_cast<int>(p)].transitions++;
     entered_ = true;
 }
@@ -210,8 +167,6 @@ PhaseScope::leave()
     ThreadProf &t = tls;
     settle(t, profFastTick());
     t.depth--;
-    if (t.depth < max_path_frames)
-        t.path >>= 8;
 }
 
 void
@@ -221,15 +176,8 @@ initPhaseProfiler()
         return;
     init_done = true;
 
-    const bool on = parseProfMode(std::getenv("MNM_PROF"));
-    const char *folded = std::getenv("MNM_PROF_FOLDED");
-    if (folded && *folded) {
-        if (!on)
-            fatal("MNM_PROF_FOLDED is set but MNM_PROF is off; set "
-                  "MNM_PROF=time to collect stacks");
-        folded_file = folded;
-    }
-    prof_active.store(on, std::memory_order_relaxed);
+    prof_active.store(parseProfMode(std::getenv("MNM_PROF")),
+                      std::memory_order_relaxed);
 }
 
 PhaseTotals
@@ -242,36 +190,22 @@ threadPhaseTotals()
     return t.totals;
 }
 
-PhaseProfile
+PhaseTotals
 takeThreadProfile()
 {
-    PhaseProfile profile;
     if (!profActive())
-        return profile;
+        return PhaseTotals{};
     ThreadProf &t = tls;
     settle(t, profFastTick());
-    profile.totals = t.totals;
-    for (const FoldedSlot &slot : t.folded)
-        if (slot.key != 0)
-            profile.folded.emplace_back(slot.key, slot.ticks);
-    profile.folded_drops = t.folded_drops;
-
-    t.totals = PhaseTotals{};
-    for (FoldedSlot &slot : t.folded)
-        slot = FoldedSlot{};
-    t.folded_drops = 0;
-    return profile;
+    return std::exchange(t.totals, PhaseTotals{});
 }
 
 void
-mergeGlobalProf(const PhaseProfile &profile)
+mergeGlobalProf(const PhaseTotals &totals)
 {
     GlobalProf &g = globalProf();
     std::lock_guard<std::mutex> lock(g.mutex);
-    addPhaseTotals(g.totals, profile.totals);
-    for (const auto &[key, ticks] : profile.folded)
-        g.folded[key] += ticks;
-    g.folded_drops += profile.folded_drops;
+    addPhaseTotals(g.totals, totals);
 }
 
 void
@@ -313,21 +247,6 @@ foldProfGlobal(StatsRegistry &reg)
     reg.setGauge("prof.tick_hz", profTickHz());
 }
 
-void
-writeProfFoldedFile()
-{
-    if (!profActive() || folded_file.empty())
-        return;
-    flushThreadProf();
-    std::ofstream out(folded_file, std::ios::out | std::ios::trunc);
-    if (!out) {
-        warn("MNM_PROF_FOLDED: cannot open '%s' for writing",
-             folded_file.c_str());
-        return;
-    }
-    writeFoldedStacks(out);
-}
-
 PhaseTotals
 globalPhaseTotals()
 {
@@ -336,41 +255,10 @@ globalPhaseTotals()
     return g.totals;
 }
 
-std::size_t
-writeFoldedStacks(std::ostream &out)
-{
-    GlobalProf &g = globalProf();
-    std::lock_guard<std::mutex> lock(g.mutex);
-    std::size_t lines = 0;
-    for (const auto &[key, ticks] : g.folded) {
-        std::uint8_t frames[max_path_frames];
-        int nframes = 0;
-        for (std::uint64_t k = key; k != 0; k >>= 8)
-            frames[nframes++] = static_cast<std::uint8_t>(k & 0xff);
-        out << "mnm";
-        for (int i = nframes - 1; i >= 0; --i)
-            out << ';' << phaseName(static_cast<Phase>(frames[i] - 1));
-        out << ' ' << ticks << '\n';
-        ++lines;
-    }
-    if (g.folded_drops != 0) {
-        out << "mnm;[truncated] " << g.folded_drops << '\n';
-        ++lines;
-    }
-    return lines;
-}
-
-const std::string &
-profFoldedPath()
-{
-    return folded_file;
-}
-
 void
-setProfModeForTest(bool on, const std::string &folded_path)
+setProfModeForTest(bool on)
 {
     init_done = true; // the environment no longer applies
-    folded_file = folded_path;
     prof_active.store(on, std::memory_order_relaxed);
 }
 
@@ -379,22 +267,15 @@ resetPhaseProfilerForTest()
 {
     prof_active.store(false, std::memory_order_relaxed);
     init_done = false;
-    folded_file.clear();
 
     ThreadProf &t = tls;
     t.totals = PhaseTotals{};
     t.depth = 0;
-    t.path = 0;
     t.last_tick = 0;
-    for (FoldedSlot &slot : t.folded)
-        slot = FoldedSlot{};
-    t.folded_drops = 0;
 
     GlobalProf &g = globalProf();
     std::lock_guard<std::mutex> lock(g.mutex);
     g.totals = PhaseTotals{};
-    g.folded.clear();
-    g.folded_drops = 0;
 }
 
 } // namespace mnm

@@ -14,14 +14,13 @@
  *
  *  1. Free when off. MNM_PROF unset/off leaves every PhaseScope as one
  *     relaxed atomic load and a predictable branch; stdout stays
- *     byte-identical (profiling output only ever goes to manifests,
- *     the folded-stack file, or stderr).
+ *     byte-identical (profiling output only ever goes to manifests or
+ *     stderr).
  *  2. No allocation or atomics on the hot path when on. All state is
- *     thread_local and fixed-size: an enum-indexed accumulator array, a
- *     16-deep phase stack, and a small open-addressed table of
- *     collapsed stack paths. The only synchronization is a mutex taken
- *     when a profile is merged into the global aggregate (once per
- *     flushed thread or delivered sweep cell, never per scope).
+ *     thread_local and fixed-size: an enum-indexed accumulator array
+ *     and a 16-deep phase stack. The only synchronization is a mutex
+ *     taken when a profile is merged into the global aggregate (once
+ *     per flushed thread or delivered sweep cell, never per scope).
  *
  * The knob: MNM_PROF unset, empty or "off" leaves the profiler off;
  * "time" arms it, charging each phase the fast-tick source's ticks
@@ -34,21 +33,17 @@
  * result frame; the supervisor merges it into the global aggregate
  * (mergeGlobalProf). Threads that profile in-process hand theirs over
  * with flushThreadProf() instead. The manifest writer calls
- * foldProfGlobal() which flushes the calling thread, folds the global
- * aggregate into metrics.prof.*, and writes the MNM_PROF_FOLDED
- * collapsed-stack file (one "mnm;run;...;phase ticks" line per
- * distinct stack, ready for flamegraph.pl).
+ * foldProfGlobal() which flushes the calling thread and folds the
+ * global aggregate into metrics.prof.* -- per phase, per sweep cell and
+ * per worker process.
  */
 
 #ifndef MNM_OBS_PHASE_PROFILER_HH
 #define MNM_OBS_PHASE_PROFILER_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace mnm
 {
@@ -96,19 +91,6 @@ struct PhaseTotals
 
 /** Element-wise @p into += @p from. */
 void addPhaseTotals(PhaseTotals &into, const PhaseTotals &from);
-
-/** A profile that can leave its thread (or process): the per-phase
- *  totals plus the collapsed-stack table behind MNM_PROF_FOLDED. */
-struct PhaseProfile
-{
-    PhaseTotals totals;
-    /** (stack path key, ticks); the keys are opaque outside the
-     *  profiler. The ticks sum to totals.totalTicks() minus
-     *  folded_drops. */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> folded;
-    /** Ticks whose stack did not fit the thread's table. */
-    std::uint64_t folded_drops = 0;
-};
 
 /** Element-wise after - before (fields saturate at 0 rather than
  *  wrapping, so a snapshot pair straddling a flush degrades benignly). */
@@ -168,9 +150,8 @@ template <bool with_prof>
 using ProfScope = std::conditional_t<with_prof, PhaseScope, NoPhaseScope>;
 
 /**
- * Parse MNM_PROF / MNM_PROF_FOLDED and arm the profiler (first call
- * only; initRunTelemetry() calls this). Fatal on malformed values and
- * on MNM_PROF_FOLDED without MNM_PROF=time.
+ * Parse MNM_PROF and arm the profiler (first call only;
+ * initRunTelemetry() calls this). Fatal on a malformed value.
  */
 void initPhaseProfiler();
 
@@ -178,13 +159,13 @@ void initPhaseProfiler();
  *  is settled first, so cell-boundary deltas are exact). */
 PhaseTotals threadPhaseTotals();
 
-/** Settle and return the calling thread's profile, and zero it. A
+/** Settle and return the calling thread's totals, and zero them. A
  *  sweep worker takes one per cell. */
-PhaseProfile takeThreadProfile();
+PhaseTotals takeThreadProfile();
 
-/** Add @p profile to the global aggregate that foldProfGlobal() and
- *  the MNM_PROF_FOLDED file report. */
-void mergeGlobalProf(const PhaseProfile &profile);
+/** Add @p totals to the global aggregate that foldProfGlobal()
+ *  reports. */
+void mergeGlobalProf(const PhaseTotals &totals);
 
 /** mergeGlobalProf(takeThreadProfile()). Each thread that profiles
  *  in-process calls this once when its work is done. */
@@ -204,25 +185,14 @@ void foldPhaseTotals(StatsRegistry &reg, const PhaseTotals &totals,
  */
 void foldProfGlobal(StatsRegistry &reg);
 
-/** Write the MNM_PROF_FOLDED file if configured (flushes the calling
- *  thread first). Runs with the other artifacts at process exit. */
-void writeProfFoldedFile();
-
 /** The global aggregate so far (flushed threads only). */
 PhaseTotals globalPhaseTotals();
 
-/** Stream the global collapsed stacks in flamegraph.pl format, sorted
- *  (deterministic). Returns the number of stack lines written. */
-std::size_t writeFoldedStacks(std::ostream &out);
-
-/** The MNM_PROF_FOLDED path ("" when unset). */
-const std::string &profFoldedPath();
-
-/** Test hooks: switch the profiler on or off / set the folded path
- *  without the environment, and reset all profiler state (global
- *  aggregate, calling thread, init latch) so the next
- *  initPhaseProfiler() re-reads the environment. */
-void setProfModeForTest(bool on, const std::string &folded_path = "");
+/** Test hooks: switch the profiler on or off without the environment,
+ *  and reset all profiler state (global aggregate, calling thread,
+ *  init latch) so the next initPhaseProfiler() re-reads the
+ *  environment. */
+void setProfModeForTest(bool on);
 void resetPhaseProfilerForTest();
 
 } // namespace mnm

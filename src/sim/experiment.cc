@@ -1,5 +1,8 @@
 #include "sim/experiment.hh"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -8,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "cache/tlb.hh"
 #include "core/tlb_filter.hh"
@@ -56,11 +60,40 @@ parseEnvBool(const char *name, const char *env)
     return false; // unreachable; fatal() exits
 }
 
+/** Every environment knob, each read by one getenv() in src/. */
+constexpr const char *known_knobs[] = {
+    "MNM_INSTRUCTIONS", "MNM_APPS",          "MNM_JOBS",
+    "MNM_POISON_LIMIT", "MNM_PROGRESS",      "MNM_STATS_JSON",
+    "MNM_TRACE_FILE",   "MNM_CHECKPOINT",    "MNM_CELL_TIMEOUT_S",
+    "MNM_FAIL_CELL",    "MNM_REFERENCE",     "MNM_OVERLAP",
+    "MNM_PROF",
+};
+
+/** fatal() on any MNM_-prefixed environment name outside known_knobs:
+ *  a typo or a removed knob would otherwise be silently ignored. */
+void
+rejectUnknownKnobs()
+{
+    for (char **entry = environ; *entry; ++entry) {
+        const std::string_view var(*entry);
+        if (var.rfind("MNM_", 0) != 0)
+            continue;
+        const std::string_view name = var.substr(0, var.find('='));
+        if (std::find(std::begin(known_knobs), std::end(known_knobs),
+                      name) == std::end(known_knobs)) {
+            fatal("unknown environment knob %.*s (sim/experiment.hh "
+                  "lists the knobs)",
+                  static_cast<int>(name.size()), name.data());
+        }
+    }
+}
+
 } // anonymous namespace
 
 ExperimentOptions
 ExperimentOptions::fromEnv()
 {
+    rejectUnknownKnobs();
     ExperimentOptions opts;
     if (const char *env = std::getenv("MNM_INSTRUCTIONS")) {
         opts.instructions =
@@ -88,24 +121,14 @@ ExperimentOptions::fromEnv()
     }
     if (opts.apps.empty())
         opts.apps = specAllNames();
-    if (const char *env = std::getenv("MNM_CSV"))
-        opts.csv = parseEnvBool("MNM_CSV", env);
     opts.jobs = jobsFromEnv();
     if (const char *env = std::getenv("MNM_PROGRESS"))
         opts.progress = parseEnvBool("MNM_PROGRESS", env);
-    if (const char *env = std::getenv("MNM_STATS_JSON"))
-        opts.stats_json = env;
-    if (const char *env = std::getenv("MNM_TRACE_FILE"))
-        opts.trace_file = env;
     if (const char *env = std::getenv("MNM_CHECKPOINT"))
         opts.checkpoint = env;
     if (const char *env = std::getenv("MNM_POISON_LIMIT")) {
         opts.poison_limit = static_cast<unsigned>(
             parseEnvU64("MNM_POISON_LIMIT", env, 1, 1000));
-    }
-    if (const char *env = std::getenv("MNM_RETRIES")) {
-        opts.retries = static_cast<unsigned>(
-            parseEnvU64("MNM_RETRIES", env, 0, 100));
     }
     if (const char *env = std::getenv("MNM_CELL_TIMEOUT_S")) {
         char *end = nullptr;
@@ -124,7 +147,7 @@ ExperimentOptions::fromEnv()
     // Arm the exit-time manifest/trace writers and echo the resolved
     // configuration into the manifest. Inert when both knobs are unset.
     initRunTelemetry();
-    setRunConfig(opts.instructions, opts.apps, opts.jobs, opts.csv);
+    setRunConfig(opts.instructions, opts.apps, opts.jobs);
     return opts;
 }
 

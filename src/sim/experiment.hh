@@ -9,16 +9,15 @@
  *
  *   MNM_INSTRUCTIONS  instructions per workload (default 2,000,000)
  *   MNM_APPS          comma-separated workload names (default: all 20)
- *   MNM_CSV           set to 1 to also emit CSV after each table
  *   MNM_JOBS          sweep worker *processes*, 1..1024 (default: all
  *                     hardware threads). runSweep supervises N forked
  *                     crash-contained workers (sim/proc_pool):
  *                     SIGSEGV/SIGKILL/hangs cost one cell, never the
  *                     sweep, and output is byte-identical at any N
- *   MNM_POISON_LIMIT  consecutive worker deaths one cell may cause
- *                     before it is declared poison and rendered
- *                     <failed> instead of crash-looping the pool
- *                     (default 3)
+ *   MNM_POISON_LIMIT  failed attempts one cell may spend -- each one a
+ *                     throw or a worker death -- before it is declared
+ *                     poison and rendered <failed> instead of
+ *                     crash-looping the pool (default 3)
  *   MNM_PROGRESS      set to 1 to report per-cell completion (with an
  *                     ETA projection) on stderr
  *   MNM_STATS_JSON    path; write the machine-readable run manifest
@@ -27,10 +26,9 @@
  *                     sweep (one complete event per cell) at exit
  *   MNM_CHECKPOINT    path; journal each completed sweep cell and
  *                     replay finished cells on restart (sim/recovery)
- *   MNM_RETRIES       extra attempts for a cell whose simulation
- *                     throws (default 1; timeouts never retry)
  *   MNM_CELL_TIMEOUT_S  per-cell deadline in seconds (default: no
- *                     timeout): the supervisor SIGKILLs the worker
+ *                     timeout): the supervisor SIGKILLs the worker and
+ *                     never re-issues the cell
  *   MNM_FAIL_CELL     testing: kill any cell whose "app · label"
  *                     contains the substring. "<substr>" throws;
  *                     "<substr>:<mode>" with segv, abort, exit:<code>,
@@ -54,14 +52,15 @@
  *                     hierarchy walk, update feed), folded into the
  *                     manifest per phase, per cell and per worker
  *                     (obs/phase_profiler.hh)
- *   MNM_PROF_FOLDED   path; also write flamegraph.pl collapsed stacks
- *                     at exit (fatal without an active MNM_PROF)
  *
  * Every knob is validated on parse: a non-numeric or out-of-range
  * value is a one-line fatal() naming the variable, not a silent
- * fallback. The telemetry, recovery, and profiling knobs never touch
- * stdout: with them unset the printed tables are byte-identical to a
- * build without these layers.
+ * fallback. So is any other MNM_-prefixed variable in the environment
+ * (a typo or a removed knob), so a misspelled knob cannot silently
+ * change what a bench measured. The telemetry, recovery, and profiling
+ * knobs never touch stdout: with them unset the printed tables are
+ * byte-identical to a build without these layers, and
+ * tools/extract_results.py turns them into CSV.
  */
 
 #ifndef MNM_SIM_EXPERIMENT_HH
@@ -83,32 +82,26 @@ struct ExperimentOptions
 {
     std::uint64_t instructions = 2'000'000;
     std::vector<std::string> apps;
-    bool csv = false;
     /** Sweep worker processes (MNM_JOBS, sim/proc_pool.hh). */
     unsigned jobs = 1;
-    /** Consecutive worker deaths one cell may cause before it is
-     *  declared poison (MNM_POISON_LIMIT). */
+    /** Failed attempts (throws or worker deaths) one cell may spend
+     *  before it is declared poison (MNM_POISON_LIMIT). */
     unsigned poison_limit = 3;
     /** Base worker-respawn backoff in ms; doubles per consecutive
      *  death. Not an env knob: tests shorten it directly. */
     unsigned worker_backoff_ms = 100;
     /** Report per-cell sweep completion via progress(). */
     bool progress = false;
-    /** Run-manifest path (MNM_STATS_JSON); empty = disabled. */
-    std::string stats_json;
-    /** Chrome trace path (MNM_TRACE_FILE); empty = disabled. */
-    std::string trace_file;
     /** Checkpoint-journal path (MNM_CHECKPOINT); empty = disabled. */
     std::string checkpoint;
-    /** Extra attempts for a throwing cell (MNM_RETRIES). */
-    unsigned retries = 1;
     /** Per-cell deadline in seconds (MNM_CELL_TIMEOUT_S); 0 = none. */
     double cell_timeout_s = 0.0;
     /** Cell fault injection (MNM_FAIL_CELL); match empty = disabled. */
     CellFaultSpec fail_cell;
 
-    /** Parse and validate every MNM_* knob listed in the file comment;
-     *  also arms the obs layer's exit-time manifest/trace writers. */
+    /** Parse and validate every MNM_* knob listed in the file comment,
+     *  reject any other MNM_* name in the environment, and arm the obs
+     *  layer's exit-time manifest/trace writers. */
     static ExperimentOptions fromEnv();
 
     /** Short app label for table rows ("164.gzip" -> "gzip"). */

@@ -69,11 +69,10 @@ constexpr std::uint32_t max_frame_bytes = 64u * 1024 * 1024;
 //
 // With MNM_PROF active each worker measures its own profile (the
 // profiler state is per-process; the supervisor cannot see it) and
-// ships each cell's PhaseProfile home inside the response frame:
-// {"phases":[...],"folded":[[key,ticks],...],"drops":N}. "phases" is
-// num_phases [ticks,transitions] pairs. The worker is a fork of the
-// supervisor, so both sides always agree on the layout; the reader
-// only rejects a malformed block.
+// ships each cell's PhaseTotals home inside the response frame:
+// {"phases":[...]}, num_phases [ticks,transitions] pairs. The worker
+// is a fork of the supervisor, so both sides always agree on the
+// layout; the reader only rejects a malformed block.
 
 void
 appendU64Array(std::string &out, std::initializer_list<std::uint64_t> v)
@@ -88,23 +87,16 @@ appendU64Array(std::string &out, std::initializer_list<std::uint64_t> v)
 }
 
 std::string
-writePhaseProfile(const PhaseProfile &profile)
+writePhaseTotals(const PhaseTotals &totals)
 {
     std::string out = "{\"phases\":[";
     for (int p = 0; p < num_phases; ++p) {
-        const PhaseCounters &c = profile.totals.phase[p];
+        const PhaseCounters &c = totals.phase[p];
         if (p)
             out += ',';
         appendU64Array(out, {c.ticks, c.transitions});
     }
-    out += "],\"folded\":[";
-    for (std::size_t i = 0; i < profile.folded.size(); ++i) {
-        if (i)
-            out += ',';
-        appendU64Array(out,
-                       {profile.folded[i].first, profile.folded[i].second});
-    }
-    out += "],\"drops\":" + std::to_string(profile.folded_drops) + "}";
+    out += "]}";
     return out;
 }
 
@@ -123,32 +115,22 @@ readU64Array(const JsonValue &value, std::size_t n)
     return out;
 }
 
-std::optional<PhaseProfile>
-readPhaseProfile(const JsonValue &value)
+std::optional<PhaseTotals>
+readPhaseTotals(const JsonValue &value)
 {
     const JsonValue *phases = value.find("phases");
-    const JsonValue *folded = value.find("folded");
-    std::optional<std::uint64_t> drops = value.getU64("drops");
     if (!phases || !phases->isArray() ||
-        phases->asArray().size() != static_cast<std::size_t>(num_phases) ||
-        !folded || !folded->isArray() || !drops) {
+        phases->asArray().size() != static_cast<std::size_t>(num_phases)) {
         return std::nullopt;
     }
-    PhaseProfile profile;
+    PhaseTotals totals;
     for (int p = 0; p < num_phases; ++p) {
         auto v = readU64Array(phases->asArray()[p], 2);
         if (!v)
             return std::nullopt;
-        profile.totals.phase[p] = {(*v)[0], (*v)[1]};
+        totals.phase[p] = {(*v)[0], (*v)[1]};
     }
-    for (const JsonValue &entry : folded->asArray()) {
-        auto v = readU64Array(entry, 2);
-        if (!v)
-            return std::nullopt;
-        profile.folded.emplace_back((*v)[0], (*v)[1]);
-    }
-    profile.folded_drops = *drops;
-    return profile;
+    return totals;
 }
 
 bool
@@ -246,7 +228,7 @@ workerChildLoop(const std::vector<SweepCell> &cells,
                        ",\"dur_us\":" + std::to_string(dur_us);
             if (profActive()) {
                 response +=
-                    ",\"prof\":" + writePhaseProfile(takeThreadProfile());
+                    ",\"prof\":" + writePhaseTotals(takeThreadProfile());
             }
             response += ",\"result\":" +
                         writeMemSimResult(result, /*with_work=*/true) + "}";
@@ -272,7 +254,6 @@ struct WorkerProc
     int res_fd = -1; //!< worker -> supervisor responses (O_NONBLOCK)
     std::string buf; //!< partial response bytes
     int cell = -1;   //!< cell index in flight, -1 when idle
-    unsigned attempt = 0;
     std::uint64_t issue_us = 0;
     std::uint64_t deadline_us = 0; //!< 0 = no deadline armed
     bool timed_out = false; //!< we SIGKILLed it for a deadline
@@ -316,7 +297,7 @@ class ProcPoolSupervisor
                        std::vector<PhaseTotals> &cell_prof)
         : cells_(cells), opts_(opts), fingerprints_(fingerprints),
           journal_(journal), results_(results), timing_(timing),
-          cell_prof_(cell_prof), crashes_(cells.size(), 0),
+          cell_prof_(cell_prof), failures_(cells.size(), 0),
           lease_seq_(cells.size(), 0)
     {
     }
@@ -327,7 +308,7 @@ class ProcPoolSupervisor
         for (std::size_t i = 0; i < cells_.size(); ++i) {
             if (i < replayed.size() && replayed[i])
                 continue;
-            pending_.emplace_back(static_cast<std::uint32_t>(i), 0u);
+            pending_.push_back(static_cast<std::uint32_t>(i));
         }
         outstanding_ = pending_.size();
         if (outstanding_ == 0)
@@ -421,10 +402,9 @@ class ProcPoolSupervisor
     issue(std::size_t slot)
     {
         WorkerProc &w = workers_[slot];
-        auto [index, attempt] = pending_.front();
+        const std::uint32_t index = pending_.front();
         pending_.pop_front();
         w.cell = static_cast<int>(index);
-        w.attempt = attempt;
         w.issue_us = steadyNowUs();
         w.deadline_us =
             opts_.cell_timeout_s > 0.0
@@ -440,7 +420,7 @@ class ProcPoolSupervisor
         globalStats().addCounter("runner.proc.leases", 1);
         unsigned char payload[8];
         storeLe32(payload, index);
-        storeLe32(payload + 4, attempt);
+        storeLe32(payload + 4, failures_[index]);
         // EPIPE here means the worker died between poll() and now; the
         // cell stays attributed to this slot and the death handler
         // re-issues it like any other mid-cell crash.
@@ -583,22 +563,9 @@ class ProcPoolSupervisor
         const SweepCell &cell = cells_[cell_index];
 
         if (std::optional<std::string> err = value->getString("error")) {
-            if (w.attempt < opts_.retries) {
-                // Bounded retry (MNM_RETRIES); the re-issue goes to the
-                // queue front so the retry is not starved behind the
-                // whole remaining grid.
-                pending_.emplace_front(
-                    static_cast<std::uint32_t>(cell_index),
-                    w.attempt + 1);
-                globalStats().addCounter("runner.proc.retries", 1);
-            } else {
-                recordSweepCellFailure(cell, cell_index,
-                                       SweepFailCause::RetryExhausted,
-                                       *err, results_[cell_index]);
-                --outstanding_;
-            }
             w.cell = -1;
             w.deadline_us = 0;
+            failAttempt(slot, cell_index, "threw: " + *err);
             return;
         }
 
@@ -614,16 +581,16 @@ class ProcPoolSupervisor
         }
         results_[cell_index] = std::move(*result);
         if (const JsonValue *prof_json = value->find("prof")) {
-            std::optional<PhaseProfile> prof = readPhaseProfile(*prof_json);
+            std::optional<PhaseTotals> prof = readPhaseTotals(*prof_json);
             if (!prof) {
                 warn("sweep worker %zu sent an unreadable prof block for "
                      "cell %zu; dropping its attribution",
                      slot, cell_index);
             } else {
-                // The manifest's prof.<phase> totals and the folded
-                // stacks are the sum of the delivered cells' profiles.
-                cell_prof_[cell_index] = prof->totals;
-                addPhaseTotals(slot_prof_[slot], prof->totals);
+                // The manifest's prof.<phase> totals are the sum of the
+                // delivered cells' profiles.
+                cell_prof_[cell_index] = *prof;
+                addPhaseTotals(slot_prof_[slot], *prof);
                 mergeGlobalProf(*prof);
             }
         }
@@ -694,29 +661,9 @@ class ProcPoolSupervisor
 
         ++w.consecutive_deaths;
         if (cell_index >= 0) {
-            const std::size_t i = static_cast<std::size_t>(cell_index);
-            ++crashes_[i];
             globalStats().addCounter("runner.proc.crashes", 1);
-            if (crashes_[i] >= opts_.poison_limit) {
-                if (journal_)
-                    journal_->appendPoison(fingerprints_[i], crashes_[i]);
-                globalStats().addCounter("runner.proc.poisoned", 1);
-                recordSweepCellFailure(
-                    cells_[i], i, SweepFailCause::Poison,
-                    "killed " + std::to_string(crashes_[i]) +
-                        " worker process(es); last worker " + reason,
-                    results_[i]);
-                --outstanding_;
-            } else {
-                warn("worker %zu %s while running cell %zu (%s); "
-                     "re-issuing (crash %u/%u)",
-                     slot, reason.c_str(), i,
-                     sweepCellDisplayName(cells_[i]).c_str(), crashes_[i],
-                     opts_.poison_limit);
-                pending_.emplace_front(static_cast<std::uint32_t>(i),
-                                       w.attempt + 1);
-                globalStats().addCounter("runner.proc.reissues", 1);
-            }
+            failAttempt(slot, static_cast<std::size_t>(cell_index),
+                        "worker " + reason);
         } else {
             warn("idle worker %zu %s; respawning", slot, reason.c_str());
         }
@@ -727,6 +674,35 @@ class ProcPoolSupervisor
             static_cast<std::uint64_t>(opts_.worker_backoff_ms) * 1000u
             << std::min(w.consecutive_deaths - 1, 6u);
         w.respawn_at_us = now + backoff_us;
+    }
+
+    /**
+     * The one failure budget: count a failed attempt of cell @p i (it
+     * threw, or its worker died) and re-issue it at the queue front, so
+     * it is not starved behind the remaining grid, until it has failed
+     * MNM_POISON_LIMIT times; then fail it with cause "poison".
+     */
+    void
+    failAttempt(std::size_t slot, std::size_t i, const std::string &why)
+    {
+        const unsigned failures = ++failures_[i];
+        if (failures >= opts_.poison_limit) {
+            if (journal_)
+                journal_->appendPoison(fingerprints_[i], failures);
+            globalStats().addCounter("runner.proc.poisoned", 1);
+            recordSweepCellFailure(cells_[i], i, SweepFailCause::Poison,
+                                   "failed " + std::to_string(failures) +
+                                       " attempt(s); last " + why,
+                                   results_[i]);
+            --outstanding_;
+            return;
+        }
+        warn("sweep cell %zu (%s) on worker %zu: %s; re-issuing "
+             "(failure %u/%u)",
+             i, sweepCellDisplayName(cells_[i]).c_str(), slot, why.c_str(),
+             failures, opts_.poison_limit);
+        pending_.push_front(static_cast<std::uint32_t>(i));
+        globalStats().addCounter("runner.proc.reissues", 1);
     }
 
     void
@@ -757,9 +733,11 @@ class ProcPoolSupervisor
     std::vector<WorkerProc> workers_;
     /** Per-slot sum of delivered cell profiles (prof.worker.w<k>). */
     std::vector<PhaseTotals> slot_prof_;
-    /** (cell index, attempt) queue awaiting a worker; index order. */
-    std::deque<std::pair<std::uint32_t, unsigned>> pending_;
-    std::vector<unsigned> crashes_;
+    /** Cell indices awaiting a worker; index order. */
+    std::deque<std::uint32_t> pending_;
+    /** Failed attempts per cell: the attempt number its next command
+     *  frame carries. */
+    std::vector<unsigned> failures_;
     std::vector<unsigned> lease_seq_;
     std::size_t outstanding_ = 0;
     std::size_t completed_ = 0;

@@ -12,9 +12,10 @@
  * Protocol (all pipe traffic is length-prefixed frames: a 4-byte
  * little-endian payload length, then the payload):
  *
- *   supervisor -> worker: 8-byte command {u32 cell index, u32 attempt}.
- *     The worker inherited the full cell vector across fork(), so the
- *     index is the whole job description. EOF on the command pipe is
+ *   supervisor -> worker: 8-byte command {u32 cell index, u32 attempt},
+ *     the attempt being the cell's failures so far. The worker
+ *     inherited the full cell vector across fork(), so the index is
+ *     the whole job description. EOF on the command pipe is
  *     the shutdown signal: the worker _Exit(0)s.
  *   worker -> supervisor: one JSON response per command, either
  *     {"index":N,"dur_us":D,"result":{...}} (the exact
@@ -22,11 +23,10 @@
  *     pipe-delivered results are bit-identical) or
  *     {"index":N,"error":"what()"} for a contained exception. With
  *     MNM_PROF active the success response also carries a "prof"
- *     block: the cell's PhaseProfile (per-phase counters and
- *     collapsed stacks), measured in the worker because profiler state
- *     is per-process. The supervisor folds it into prof.cell.*,
- *     prof.worker.w<k>.* and the global aggregate behind the
- *     manifest's prof.<phase>.* and the MNM_PROF_FOLDED file.
+ *     block: the cell's PhaseTotals (per-phase counters), measured in
+ *     the worker because profiler state is per-process. The supervisor
+ *     folds it into prof.cell.*, prof.worker.w<k>.* and the global
+ *     aggregate behind the manifest's prof.<phase>.*.
  *
  * Determinism: the supervisor writes each result into results[index]
  * of a pre-sized vector, and the simulator itself is deterministic, so
@@ -35,15 +35,15 @@
  * because a re-issued cell recomputes the identical result.
  *
  * Fault handling:
- *   - worker death (signal or nonzero exit) while a cell was in
- *     flight: the cell is re-issued to a respawned worker; a cell that
- *     kills MNM_POISON_LIMIT successive workers is declared poison and
- *     rendered <failed> (cause "poison") instead of crash-looping.
+ *   - one failure budget per cell: an attempt fails when the cell
+ *     throws (a worker-reported error) or its worker dies (signal or
+ *     nonzero exit) while the cell is in flight. The cell is re-issued
+ *     until it has failed MNM_POISON_LIMIT times (default 3), then it
+ *     is declared poison and rendered <failed> (cause "poison")
+ *     instead of crash-looping.
  *   - MNM_CELL_TIMEOUT_S: the supervisor SIGKILLs the worker when the
  *     deadline expires (no cooperation from the cell needed). Timed-out
  *     cells fail with cause "timeout" and are never re-issued.
- *   - a worker-reported error (the cell threw) is retried MNM_RETRIES
- *     times, then fails with cause "retry_exhausted".
  *   - dead workers are respawned with exponential backoff
  *     (ExperimentOptions::worker_backoff_ms base, 100 ms, doubling per
  *     consecutive death).

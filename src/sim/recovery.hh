@@ -38,7 +38,7 @@
  * cells.
  *
  * The fingerprint is intentionally independent of execution knobs that
- * do not change results (jobs, workers, progress, retries, timeouts),
+ * do not change results (jobs, workers, progress, poison limit, timeouts),
  * so a journal written by a parallel or process-pool run resumes a
  * serial run and vice versa.
  */
@@ -158,8 +158,8 @@ class CheckpointJournal
      *  @p spawns-th process). */
     void appendRespawn(unsigned worker, unsigned spawns);
 
-    /** Record that @p fingerprint killed @p crashes successive worker
-     *  processes and was declared poison. */
+    /** Record that @p fingerprint failed @p crashes attempts (each one
+     *  a throw or a worker death) and was declared poison. */
     void appendPoison(const std::string &fingerprint, unsigned crashes);
 
     const std::string &path() const { return path_; }

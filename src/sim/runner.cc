@@ -145,12 +145,8 @@ const char *
 sweepFailCauseName(SweepFailCause cause)
 {
     switch (cause) {
-    case SweepFailCause::Crash:
-        return "crash";
     case SweepFailCause::Timeout:
         return "timeout";
-    case SweepFailCause::RetryExhausted:
-        return "retry_exhausted";
     case SweepFailCause::Poison:
         return "poison";
     }
@@ -165,12 +161,14 @@ std::atomic<bool> g_sweep_failed{false};
 
 std::function<void(const SweepCell &, unsigned)> g_fault_hook;
 
-/** Registry prefix for one cell's simulation metrics. */
+/** One cell's "<label>.<app>" metric segment, shared by the "sweep.",
+ *  "prof.cell." and "runner.failures." subtrees. */
 std::string
-cellMetricPrefix(const SweepCell &cell)
+cellMetricSegment(const SweepCell &cell)
 {
-    std::string label = cell.label.empty() ? "default" : cell.label;
-    return "sweep." + sanitizeMetricSegment(label) + "." +
+    return sanitizeMetricSegment(cell.label.empty() ? "default"
+                                                    : cell.label) +
+           "." +
            sanitizeMetricSegment(ExperimentOptions::shortName(cell.app));
 }
 
@@ -212,13 +210,8 @@ foldSweepTelemetry(const std::vector<SweepCell> &cells,
         // cell's "sweep." prefix) because it is wall-clock derived: the
         // manifest diff in CI ignores the prof subtree.
         if (!r.failed && profActive()) {
-            std::string label =
-                cell.label.empty() ? "default" : cell.label;
-            foldPhaseTotals(
-                stats, cell_prof[i],
-                "prof.cell." + sanitizeMetricSegment(label) + "." +
-                    sanitizeMetricSegment(
-                        ExperimentOptions::shortName(cell.app)));
+            foldPhaseTotals(stats, cell_prof[i],
+                            "prof.cell." + cellMetricSegment(cell));
         }
 
         if (traceFileEnabled()) {
@@ -257,7 +250,7 @@ foldCellMetrics(StatsRegistry &stats, const SweepCell &cell,
 {
     if (r.failed)
         return;
-    const std::string prefix = cellMetricPrefix(cell);
+    const std::string prefix = "sweep." + cellMetricSegment(cell);
     stats.addCounter(prefix + ".instructions", r.instructions);
     stats.addCounter(prefix + ".requests", r.requests);
     stats.addCounter(prefix + ".memory_accesses", r.memory_accesses);
@@ -307,13 +300,7 @@ recordSweepCellFailure(const SweepCell &cell, std::size_t index,
     stats.addCounter(std::string("runner.failures.by_cause.") +
                          sweepFailCauseName(cause),
                      1);
-    stats.addCounter(
-        "runner.failures." +
-            sanitizeMetricSegment(cell.label.empty() ? "default"
-                                                     : cell.label) +
-            "." +
-            sanitizeMetricSegment(ExperimentOptions::shortName(cell.app)),
-        1);
+    stats.addCounter("runner.failures." + cellMetricSegment(cell), 1);
     g_sweep_failed.store(true, std::memory_order_relaxed);
 }
 

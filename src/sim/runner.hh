@@ -114,20 +114,17 @@ std::string sweepCellDisplayName(const SweepCell &cell);
 
 /**
  * Why a sweep cell was marked failed. Split out so operators can tell
- * "my cell crashed the worker" from "my cell is slow" from "my cell
- * throws deterministically" straight from the manifest
- * (runner.failures.by_cause.*) without re-running anything.
+ * "my cell keeps failing" from "my cell is slow" straight from the
+ * manifest (runner.failures.by_cause.*) without re-running anything.
  */
 enum class SweepFailCause
 {
-    Crash,          //!< worker process died (signal or nonzero exit)
-    Timeout,        //!< MNM_CELL_TIMEOUT_S expired
-    RetryExhausted, //!< threw on every attempt (MNM_RETRIES + 1)
-    Poison,         //!< killed MNM_POISON_LIMIT successive workers
+    Timeout, //!< MNM_CELL_TIMEOUT_S expired
+    Poison,  //!< failed MNM_POISON_LIMIT attempts (threw or killed its
+             //!< worker)
 };
 
-/** Metric-segment / log name for @p cause ("crash", "timeout",
- *  "retry_exhausted", "poison"). */
+/** Metric-segment / log name for @p cause ("timeout", "poison"). */
 const char *sweepFailCauseName(SweepFailCause cause);
 
 /**
@@ -201,11 +198,12 @@ class ParallelRunner
  * byte-identical at any job count.
  *
  * Fault containment: a cell that segfaults, aborts, exits or hangs
- * takes down only its worker -- the supervisor re-issues the cell to a
- * respawned worker, up to MNM_POISON_LIMIT deaths. A cell that throws
- * is retried up to @p opts.retries times. MNM_CELL_TIMEOUT_S is a
- * SIGKILL deadline and is never retried. A cell that exhausts these
- * does NOT abort the sweep: its result comes back with
+ * takes down only its worker. A cell that throws or kills its worker
+ * spends one attempt of a single budget and is re-issued (to a
+ * respawned worker after a death) until it has failed
+ * MNM_POISON_LIMIT times. MNM_CELL_TIMEOUT_S is a SIGKILL deadline
+ * and is never re-issued. A cell that fails for good does NOT abort
+ * the sweep: its result comes back with
  * MemSimResult::failed set (and fail_reason saying why), a warning
  * names it, "runner.failures.*" counters record it by cause, and
  * sweepExitCode() turns nonzero so benches exit 1 after printing their
@@ -245,7 +243,7 @@ void foldCellMetrics(StatsRegistry &stats, const SweepCell &cell,
 
 /**
  * Process exit code reflecting sweep health: 1 once any runSweep()
- * cell has failed (after retries), else 0. Benches return this from
+ * cell has failed for good, else 0. Benches return this from
  * main() so graceful degradation still fails CI.
  */
 int sweepExitCode();
@@ -268,9 +266,10 @@ sweepCell(const MemSimResult &base, const MemSimResult &r, double value)
 
 /**
  * Test hook: called in the worker process before every cell attempt as
- * hook(cell, attempt) (attempt is 0-based); a throwing hook fails that
- * attempt exactly like a throwing simulation, and a hook that kills
- * its process crashes the worker. The workers inherit it across fork,
+ * hook(cell, attempt), attempt being the cell's failed attempts so far
+ * (0 on the first issue); a throwing hook fails that attempt exactly
+ * like a throwing simulation, and a hook that kills its process
+ * crashes the worker. The workers inherit it across fork,
  * so set it before runSweep(); pass nullptr to clear.
  */
 void setSweepFaultHookForTest(

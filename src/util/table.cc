@@ -127,33 +127,10 @@ Table::toString() const
     return out.str();
 }
 
-std::string
-Table::toCsv() const
-{
-    std::ostringstream out;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                out << ",";
-            out << row[i];
-        }
-        out << "\n";
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-    return out.str();
-}
-
 void
-Table::print(bool with_csv) const
+Table::print() const
 {
     std::fputs(toString().c_str(), stdout);
-    if (with_csv) {
-        std::fputs("--- csv ---\n", stdout);
-        std::fputs(toCsv().c_str(), stdout);
-    }
     std::fputs("\n", stdout);
     std::fflush(stdout);
 }

@@ -2,8 +2,8 @@
  * @file
  * Column-aligned table printing for the benchmark harnesses. Every bench
  * binary prints paper-style rows (one per application plus an arithmetic
- * mean) through this formatter so the output is uniform and greppable,
- * and can optionally emit CSV for plotting.
+ * mean) through this formatter so the output is uniform and greppable.
+ * tools/extract_results.py turns the printed tables into CSV.
  */
 
 #ifndef MNM_UTIL_TABLE_HH
@@ -15,7 +15,7 @@
 namespace mnm
 {
 
-/** A simple column-aligned text/CSV table builder. */
+/** A simple column-aligned text table builder. */
 class Table
 {
   public:
@@ -44,11 +44,8 @@ class Table
     /** Render as an aligned plain-text table. */
     std::string toString() const;
 
-    /** Render as CSV (header + rows). */
-    std::string toCsv() const;
-
-    /** Print toString() to stdout (plus CSV when @p with_csv). */
-    void print(bool with_csv = false) const;
+    /** Print toString() and a blank line to stdout. */
+    void print() const;
 
     std::size_t rowCount() const { return rows_.size(); }
 

@@ -157,21 +157,17 @@ TEST(IntegrationTest, ExperimentOptionsParseEnvironment)
 {
     setenv("MNM_INSTRUCTIONS", "12345", 1);
     setenv("MNM_APPS", "gzip,181.mcf", 1);
-    setenv("MNM_CSV", "1", 1);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     EXPECT_EQ(opts.instructions, 12345u);
     ASSERT_EQ(opts.apps.size(), 2u);
     EXPECT_EQ(opts.apps[0], "164.gzip");
     EXPECT_EQ(opts.apps[1], "181.mcf");
-    EXPECT_TRUE(opts.csv);
     unsetenv("MNM_INSTRUCTIONS");
     unsetenv("MNM_APPS");
-    unsetenv("MNM_CSV");
 
     ExperimentOptions defaults = ExperimentOptions::fromEnv();
     EXPECT_EQ(defaults.instructions, 2'000'000u);
     EXPECT_EQ(defaults.apps.size(), 20u);
-    EXPECT_FALSE(defaults.csv);
 }
 
 TEST(IntegrationTest, ShortNames)

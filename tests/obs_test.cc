@@ -373,7 +373,7 @@ TEST(ManifestTest, WritesSchemaConfigAndMetrics)
     globalStats().clear();
     globalStats().addCounter("demo.value", 7);
     setRunName("obs_test");
-    setRunConfig(12345, {"164.gzip"}, 3, false);
+    setRunConfig(12345, {"164.gzip"}, 3);
 
     std::ostringstream out;
     writeRunManifest(out);

@@ -3,9 +3,10 @@
  * Process-pool sweep execution contract (sim/proc_pool.hh): results
  * are element-wise bit-identical to runCell called directly, a
  * mid-cell worker crash costs nothing (the cell is re-issued and
- * recomputes the identical result), a throwing cell is retried, a
- * poison cell fails alone, a hanging cell dies to the supervisor's
- * SIGKILL deadline, and MNM_FAIL_CELL rejects malformed values.
+ * recomputes the identical result), a throwing cell is re-issued,
+ * throws and worker deaths spend one failure budget, a poison cell
+ * fails alone, a hanging cell dies to the supervisor's SIGKILL
+ * deadline, and MNM_FAIL_CELL rejects malformed values.
  */
 
 #include <csignal>
@@ -158,7 +159,7 @@ TEST(ProcPoolTest, PoisonCellFailsAloneWithCause)
         SCOPED_TRACE(cells[i].app + " · " + cells[i].label);
         if (cells[i].app == "181.mcf" && cells[i].label == "RMNM") {
             EXPECT_TRUE(pooled[i].failed);
-            EXPECT_NE(pooled[i].fail_reason.find("2 worker"),
+            EXPECT_NE(pooled[i].fail_reason.find("failed 2 attempt"),
                       std::string::npos)
                 << pooled[i].fail_reason;
         } else {
@@ -252,24 +253,23 @@ TEST(ProcPoolTest, ThrowingCellIsRetriedThroughTheWorker)
     std::vector<MemSimResult> reference = serialReference(cells);
 
     // A contained exception inside the worker is reported over the
-    // pipe and retried, not treated as a crash: both cells (both
+    // pipe and re-issued, not treated as a crash: both cells (both
     // gzip) fail their first attempt and are re-issued exactly once.
     setSweepFaultHookForTest([](const SweepCell &cell, unsigned attempt) {
         if (cell.app == "164.gzip" && attempt == 0)
             throw std::runtime_error("transient");
     });
-    const std::uint64_t retries_before =
-        globalStats().counter("runner.proc.retries").value();
+    const std::uint64_t reissues_before =
+        globalStats().counter("runner.proc.reissues").value();
     const std::uint64_t crashes_before =
         globalStats().counter("runner.proc.crashes").value();
     ExperimentOptions pool;
     pool.jobs = 2;
-    pool.retries = 1;
     std::vector<MemSimResult> pooled = runSweep(cells, pool);
     setSweepFaultHookForTest(nullptr);
     expectBitIdentical(cells, reference, pooled);
-    EXPECT_EQ(globalStats().counter("runner.proc.retries").value() -
-                  retries_before,
+    EXPECT_EQ(globalStats().counter("runner.proc.reissues").value() -
+                  reissues_before,
               2u);
     EXPECT_EQ(globalStats().counter("runner.proc.crashes").value(),
               crashes_before);
@@ -280,18 +280,83 @@ TEST(ProcPoolTest, ExhaustedRetriesFailWithCause)
     std::vector<SweepCell> grid = smallGrid();
     std::vector<SweepCell> cells(grid.begin(), grid.begin() + 2);
 
+    // A cell that throws on every attempt spends exactly poison_limit
+    // attempts (poison_limit - 1 re-issues), then fails as poison.
+    const std::uint64_t reissues_before =
+        globalStats().counter("runner.proc.reissues").value();
+    const std::uint64_t poison_before =
+        globalStats().counter("runner.failures.by_cause.poison").value();
     ExperimentOptions pool;
     pool.jobs = 2;
-    pool.retries = 1;
+    pool.poison_limit = 4;
     pool.fail_cell.match = "164.gzip · baseline"; // mode: throw
     std::vector<MemSimResult> pooled = runSweep(cells, pool);
 
     EXPECT_TRUE(pooled[0].failed);
+    EXPECT_NE(pooled[0].fail_reason.find("failed 4 attempt(s)"),
+              std::string::npos)
+        << pooled[0].fail_reason;
     EXPECT_NE(pooled[0].fail_reason.find("MNM_FAIL_CELL"),
               std::string::npos);
     EXPECT_FALSE(pooled[1].failed);
-    EXPECT_TRUE(
-        globalStats().has("runner.failures.by_cause.retry_exhausted"));
+    EXPECT_EQ(globalStats().counter("runner.proc.reissues").value() -
+                  reissues_before,
+              3u);
+    EXPECT_EQ(
+        globalStats().counter("runner.failures.by_cause.poison").value() -
+            poison_before,
+        1u);
+}
+
+TEST(ProcPoolTest, ThrowsAndWorkerDeathsSpendOneBudget)
+{
+    std::vector<SweepCell> cells = smallGrid();
+    std::vector<MemSimResult> reference = serialReference(cells);
+
+    // Every 181.mcf cell throws on attempt 0, kills its worker on
+    // attempt 1 and succeeds on attempt 2. The two failures fit a
+    // budget of 3 attempts: the sweep completes bit-identical to
+    // serial. At a budget of 2 the same cells fail as poison -- a throw
+    // and a death are charged to the one count.
+    setSweepFaultHookForTest([](const SweepCell &cell, unsigned attempt) {
+        if (cell.app != "181.mcf")
+            return;
+        if (attempt == 0)
+            throw std::runtime_error("transient");
+        if (attempt == 1) {
+            ::signal(SIGSEGV, SIG_DFL);
+            ::raise(SIGSEGV);
+        }
+    });
+    const std::uint64_t reissues_before =
+        globalStats().counter("runner.proc.reissues").value();
+    const std::uint64_t crashes_before =
+        globalStats().counter("runner.proc.crashes").value();
+    ExperimentOptions pool;
+    pool.jobs = 2;
+    pool.poison_limit = 3;
+    pool.worker_backoff_ms = 1;
+    std::vector<MemSimResult> pooled = runSweep(cells, pool);
+    expectBitIdentical(cells, reference, pooled);
+    EXPECT_EQ(globalStats().counter("runner.proc.reissues").value() -
+                  reissues_before,
+              6u);
+    EXPECT_EQ(globalStats().counter("runner.proc.crashes").value() -
+                  crashes_before,
+              3u);
+
+    pool.poison_limit = 2;
+    pooled = runSweep(cells, pool);
+    setSweepFaultHookForTest(nullptr);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        SCOPED_TRACE(cells[i].app + " · " + cells[i].label);
+        EXPECT_EQ(pooled[i].failed, cells[i].app == "181.mcf");
+        if (pooled[i].failed) {
+            EXPECT_NE(pooled[i].fail_reason.find("failed 2 attempt(s)"),
+                      std::string::npos)
+                << pooled[i].fail_reason;
+        }
+    }
 }
 
 TEST(ProcPoolTest, JournalRecordsLeasesAndSurvivesCrashes)

@@ -2,10 +2,9 @@
  * @file
  * The phase-attribution layer's contract (obs/phase_profiler):
  * exclusive-time nesting and reentrancy, the manifest's prof section,
- * the sweep trace, the MNM_PROF* knob validation, and -- above all --
- * purity: with the knobs
- * unset the profiler accumulates nothing and writes nothing, so every
- * bench's stdout stays byte-identical.
+ * the sweep trace, the MNM_PROF knob validation, and -- above all --
+ * purity: with the knob unset the profiler accumulates nothing and
+ * writes nothing, so every bench's stdout stays byte-identical.
  */
 
 #include <cstdio>
@@ -80,20 +79,6 @@ TEST(ProfTest, MalformedProfModeDies)
     // "hw" is not a mode; it dies like any typo.
     EXPECT_EXIT(parseProfMode("hw"),
                 ::testing::ExitedWithCode(1), "MNM_PROF");
-}
-
-TEST(ProfTest, FoldedWithoutModeDies)
-{
-    // MNM_PROF_FOLDED without an active MNM_PROF would silently collect
-    // nothing; the knob convention makes that loud.
-    EXPECT_EXIT(
-        {
-            setenv("MNM_PROF_FOLDED", "/tmp/out.folded", 1);
-            unsetenv("MNM_PROF");
-            resetPhaseProfilerForTest();
-            initPhaseProfiler();
-        },
-        ::testing::ExitedWithCode(1), "MNM_PROF_FOLDED");
 }
 
 TEST(ProfTest, OffMeansNothingAccumulates)
@@ -172,24 +157,6 @@ TEST(ProfTest, DeltaIsolatesAWindow)
     EXPECT_EQ(delta.phase[phaseIdx(Phase::Verdict)].transitions, 1u);
 }
 
-TEST(ProfTest, FoldedStacksRecordThePaths)
-{
-    ProfReset guard;
-    setProfModeForTest(true);
-    {
-        PhaseScope run(Phase::Run);
-        spinTicks();
-        PhaseScope verdict(Phase::Verdict);
-        spinTicks();
-    }
-    flushThreadProf();
-    std::ostringstream out;
-    EXPECT_EQ(writeFoldedStacks(out), 2u);
-    const std::string text = out.str();
-    EXPECT_NE(text.find("mnm;run "), std::string::npos);
-    EXPECT_NE(text.find("mnm;run;verdict "), std::string::npos);
-}
-
 TEST(ProfTest, ManifestCarriesTheProfSection)
 {
     ProfReset guard;
@@ -254,11 +221,7 @@ TEST(ProfTest, SweepAttributesPerCellAndNothingOnStdout)
 TEST(ProfTest, WorkerProcessesShipAttributionOverTheResultPipe)
 {
     ProfReset guard;
-    const std::string folded_path = ::testing::TempDir() +
-                                    "mnm_prof_pool_" +
-                                    std::to_string(::getpid()) + ".folded";
-    std::remove(folded_path.c_str());
-    setProfModeForTest(true, folded_path);
+    setProfModeForTest(true);
     globalStats().clear();
 
     std::vector<SweepVariant> variants = {
@@ -293,35 +256,31 @@ TEST(ProfTest, WorkerProcessesShipAttributionOverTheResultPipe)
     EXPECT_GT(global.phase[phaseIdx(Phase::Verdict)].ticks, 0u);
     EXPECT_GT(global.phase[phaseIdx(Phase::FeedDrain)].ticks, 0u);
 
-    // The collapsed stacks crossed the pipe too: the folded file is
-    // non-empty and accounts for exactly the manifest's ticks.
-    writeProfFoldedFile();
-    std::ifstream folded(folded_path);
-    std::string line;
-    std::size_t lines = 0;
-    std::uint64_t folded_ticks = 0;
-    while (std::getline(folded, line)) {
-        ++lines;
-        folded_ticks += std::stoull(line.substr(line.rfind(' ') + 1));
-    }
-    EXPECT_GT(lines, 0u);
+    // Conservation: per phase, the manifest's process total is exactly
+    // the sum of the two cells' shipped profiles (the supervisor runs
+    // no cell of its own).
     std::uint64_t manifest_ticks = 0;
     double manifest_share = 0.0;
     for (int p = 0; p < num_phases; ++p) {
-        const std::string base =
-            std::string("prof.") + phaseName(static_cast<Phase>(p));
-        if (stats.has(base + ".ticks")) {
-            manifest_ticks +=
-                static_cast<std::uint64_t>(stats.gauge(base + ".ticks"));
-            manifest_share += stats.gauge(base + ".share");
-        }
+        const std::string phase = phaseName(static_cast<Phase>(p));
+        auto ticks = [&](const std::string &prefix) -> std::uint64_t {
+            const std::string key = prefix + "." + phase + ".ticks";
+            return stats.has(key)
+                       ? static_cast<std::uint64_t>(stats.gauge(key))
+                       : 0;
+        };
+        const std::uint64_t total = ticks("prof");
+        EXPECT_EQ(total, ticks("prof.cell.HMNM2.gzip") +
+                             ticks("prof.cell.HMNM2.mcf"))
+            << phase;
+        manifest_ticks += total;
+        if (total)
+            manifest_share += stats.gauge("prof." + phase + ".share");
     }
     EXPECT_GT(manifest_ticks, 0u);
-    EXPECT_EQ(folded_ticks, manifest_ticks);
     // The shares cover the whole total: no charged phase is missing
     // from the manifest.
     EXPECT_NEAR(manifest_share, 1.0, 1e-9);
-    std::remove(folded_path.c_str());
     globalStats().clear();
 }
 

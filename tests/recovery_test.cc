@@ -457,7 +457,7 @@ TEST(RecoveryTest, InterruptedSweepResumesByteIdentical)
     std::remove(path.c_str());
     ExperimentOptions opts;
     opts.jobs = 2;
-    opts.retries = 0;
+    opts.poison_limit = 1; // the first throw fails the cell
     opts.checkpoint = path;
 
     // First attempt: every 181.mcf cell dies. The journal captures

@@ -232,13 +232,27 @@ TEST(RunnerDeathTest, RejectsOutOfRangeJobs)
     ASSERT_EQ(unsetenv("MNM_JOBS"), 0);
 }
 
+TEST(RunnerDeathTest, RejectsUnknownKnobs)
+{
+    // A typo (MNM_APP for MNM_APPS) or a removed knob must not be
+    // silently ignored: each one is a one-line fatal naming it.
+    for (const char *name :
+         {"MNM_APP", "MNM_CSV", "MNM_RETRIES", "MNM_PROF_FOLDED"}) {
+        ASSERT_EQ(setenv(name, "1", 1), 0);
+        EXPECT_EXIT(ExperimentOptions::fromEnv(),
+                    ::testing::ExitedWithCode(1), name)
+            << name;
+        ASSERT_EQ(unsetenv(name), 0);
+    }
+}
+
 TEST(RunnerTest, FailedCellDegradesGracefully)
 {
     std::vector<SweepCell> cells = techniqueCells();
 
     ExperimentOptions opts;
     opts.jobs = 4;
-    opts.retries = 0;
+    opts.poison_limit = 1; // the first throw fails the cell
     opts.fail_cell.match = "181.mcf · RMNM";
     std::vector<MemSimResult> results = runSweep(cells, opts);
 

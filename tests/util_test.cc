@@ -411,16 +411,6 @@ TEST(TableTest, MeanRowSkippedWhenNoNumericRows)
     EXPECT_EQ(t.rowCount(), 0u);
 }
 
-TEST(TableTest, CsvFormat)
-{
-    Table t("demo");
-    t.setHeader({"app", "x", "y"});
-    t.addRow("a", {1.0, 2.0}, 1);
-    std::string csv = t.toCsv();
-    EXPECT_NE(csv.find("app,x,y"), std::string::npos);
-    EXPECT_NE(csv.find("a,1.0,2.0"), std::string::npos);
-}
-
 TEST(TableTest, RowWidthMismatchPanics)
 {
     Table t("demo");

@@ -25,7 +25,8 @@ coverage derived from the manifest's per-level decision confusion
 matrix (predicted_miss_actual_miss over all actual misses) to within
 rounding of the printed precision. Any mismatch -- or a manifest that
 covers none of the printed cells -- is a failure. "<failed>" gap
-markers (cells whose simulation crashed or timed out) are skipped and
+markers (cells that timed out, or were poisoned: they threw or killed
+their worker on every attempt of their budget) are skipped and
 reported, never treated as mismatches.
 
 With --diff, two run manifests are compared for metric equality while
@@ -49,7 +50,8 @@ tool verifies every CRC and summarizes leases issued, re-issues (lease
 records with seq above 1: the supervisor numbers each cell's issues
 from 1 in every run, so a resumed run's fresh leases are not
 re-issues), leased-but-uncommitted cells (the ones a resuming run
-re-executes), worker respawns, poisoned cells, and any corrupt
+re-executes), worker respawns, poisoned cells (a cell that threw or
+killed its worker MNM_POISON_LIMIT times), and any corrupt
 (bit-flipped) records. Only mnm-checkpoint-v2 journals are summarized: a resuming
 run ignores any other header (an mnm-checkpoint-v1 journal included)
 and starts fresh, so the tool says so and exits 1.
@@ -410,7 +412,7 @@ def run_journal(path) -> int:
         print(f"  {violations} cells recorded soundness violations")
     print(f"  {counters['leases']} leases issued over "
           f"{counters['leased_cells']} cells; "
-          f"{counters['reissues']} re-issues after worker deaths")
+          f"{counters['reissues']} re-issues after failed attempts")
     if counters["uncommitted"]:
         print(f"  {counters['uncommitted']} leased-but-uncommitted "
               f"cells (a resuming run re-executes exactly these)")

@@ -2,9 +2,10 @@
 """Checks of the suite gates' arithmetic (tools/run_suite.py), of
 extract_results.py's journal summary and refusals (journals a resuming
 run ignores, options it does not know), and of the environment-knob
-inventory: every getenv("MNM_...") in src/ is documented in
-src/sim/experiment.hh's knob comment and README's knob block. Runs
-under ctest; no bench is run.
+inventory: the MNM_* names src/ reads with getenv (one site each), the
+names ExperimentOptions::fromEnv accepts, src/sim/experiment.hh's knob
+comment and README's knob block are one and the same set. Runs under
+ctest; no bench is run.
 
 usage: python3 tools/test_run_suite.py
 """
@@ -187,16 +188,29 @@ class ExtractResultsTest(unittest.TestCase):
         self.assertIn("unknown option --perf", err.getvalue())
 
 
-def source_knobs():
-    """Every MNM_* name src/ reads with getenv("...")."""
-    names = set()
+def getenv_sites():
+    """Every getenv("MNM_...") call in src/, one name per call site."""
+    sites = []
     for root, _, files in os.walk(os.path.join(REPO, "src")):
         for name in files:
             if name.endswith((".cc", ".hh")):
                 with open(os.path.join(root, name)) as f:
-                    names.update(re.findall(
-                        r'getenv\("(MNM_[A-Z0-9_]+)"\)', f.read()))
-    return names
+                    sites += re.findall(
+                        r'getenv\("(MNM_[A-Z0-9_]+)"\)', f.read())
+    return sites
+
+
+def source_knobs():
+    """Every MNM_* name src/ reads with getenv("...")."""
+    return set(getenv_sites())
+
+
+def accepted_knobs():
+    """The known_knobs list ExperimentOptions::fromEnv accepts."""
+    with open(os.path.join(REPO, "src", "sim", "experiment.cc")) as f:
+        text = f.read()
+    block = text.split("known_knobs[] = {", 1)[1].split("};", 1)[0]
+    return re.findall(r'"(MNM_[A-Z0-9_]+)"', block)
 
 
 def experiment_hh_knobs():
@@ -229,6 +243,24 @@ class KnobInventoryTest(unittest.TestCase):
         missing = source_knobs() - readme_knobs()
         self.assertEqual(missing, set(),
                          "read in src/ but not in README's knob block")
+
+    def test_every_documented_knob_is_read(self):
+        self.assertEqual(experiment_hh_knobs() - source_knobs(), set(),
+                         "in experiment.hh's knob comment but never read")
+        self.assertEqual(readme_knobs() - source_knobs(), set(),
+                         "in README's knob block but never read")
+
+    def test_from_env_accepts_exactly_the_read_knobs(self):
+        accepted = accepted_knobs()
+        self.assertEqual(len(accepted), len(set(accepted)),
+                         "known_knobs lists a name twice")
+        self.assertEqual(set(accepted), source_knobs())
+
+    def test_each_knob_has_one_reader(self):
+        sites = getenv_sites()
+        repeated = {n for n in sites if sites.count(n) > 1}
+        self.assertEqual(repeated, set(),
+                         "read by more than one getenv() in src/")
 
 
 if __name__ == "__main__":
